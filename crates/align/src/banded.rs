@@ -24,7 +24,7 @@ const NEG_INF: i32 = i32::MIN / 4;
 /// uses banded alignment for scoring and filtering, like BELLA.
 ///
 /// Thin wrapper over the **scalar** kernel with a throwaway workspace,
-/// pinned regardless of the `DIBELLA_SIMD` knob so it can serve as the
+/// pinned regardless of the kernel mode so it can serve as the
 /// reference oracle in differential tests.
 ///
 /// # Panics
@@ -43,7 +43,7 @@ pub fn banded_sw(
 /// [`banded_sw`] using caller-owned scratch for its two DP rows: zero
 /// heap allocations once the workspace has warmed up to the widest band
 /// seen. Runs the kernel implementation selected by the thread's
-/// [`crate::simd::SimdMode`] (the `DIBELLA_SIMD` knob); both
+/// [`crate::simd::SimdMode`]; both
 /// implementations are bit-identical to [`banded_sw`] for every input and
 /// any prior workspace state.
 ///

@@ -1,5 +1,5 @@
 //! Portable integer SIMD lanes for the alignment kernels, and the
-//! `DIBELLA_SIMD` kernel-selection knob.
+//! per-thread kernel selection.
 //!
 //! # Why a hand-rolled lane type
 //!
@@ -29,16 +29,12 @@
 //!   pipeline sets it from `PipelineConfig::simd` at the top of every
 //!   alignment batch, so rayon workers inherit the config, not ambient
 //!   process state);
-//! * else the **`DIBELLA_SIMD` environment variable** (`scalar` | `auto`),
-//!   read once per process;
 //! * else [`SimdMode::Auto`], which runs the vectorized kernels.
 //!
 //! `scalar` pins the historical kernels — both paths stay reachable on
-//! every build, which is what lets CI run the whole test suite under
-//! `DIBELLA_SIMD=scalar` and the differential suites flip per call.
+//! every build, and the differential suites flip them per call.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Lane count of [`I32x8`]. Row buffers used by the vector kernels are
 /// padded to a multiple of this (plus sentinel slack) so full-width
@@ -58,8 +54,7 @@ pub enum KernelImpl {
     Simd,
 }
 
-/// The `DIBELLA_SIMD` knob: how auto-dispatching kernels pick a
-/// [`KernelImpl`].
+/// How auto-dispatching kernels pick a [`KernelImpl`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimdMode {
     /// Force the scalar kernels everywhere.
@@ -101,16 +96,6 @@ impl SimdMode {
     }
 }
 
-/// `DIBELLA_SIMD` parsed once per process. Panics on an unparsable value
-/// — a silently ignored kernel knob is worse than a crash.
-fn env_mode() -> SimdMode {
-    static ENV: OnceLock<SimdMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("DIBELLA_SIMD") {
-        Err(_) => SimdMode::default(),
-        Ok(v) => v.parse().unwrap_or_else(|e| panic!("DIBELLA_SIMD: {e}")),
-    })
-}
-
 thread_local! {
     /// Per-thread mode override (see [`set_thread_simd_mode`]).
     static THREAD_MODE: Cell<Option<SimdMode>> = const { Cell::new(None) };
@@ -120,17 +105,16 @@ thread_local! {
 ///
 /// The alignment stage calls this at the top of every batch with the
 /// pipeline config's `simd` field, so the choice follows the config onto
-/// whichever executor thread runs the batch; `None` falls back to the
-/// `DIBELLA_SIMD` environment knob.
+/// whichever executor thread runs the batch; `None` means
+/// [`SimdMode::Auto`].
 pub fn set_thread_simd_mode(mode: Option<SimdMode>) {
     THREAD_MODE.with(|c| c.set(mode));
 }
 
 /// The mode auto-dispatching kernels resolve on this thread: the
-/// thread-local override if set, else the `DIBELLA_SIMD` environment
-/// knob, else [`SimdMode::Auto`].
+/// thread-local override if set, else [`SimdMode::Auto`].
 pub fn thread_simd_mode() -> SimdMode {
-    THREAD_MODE.with(|c| c.get()).unwrap_or_else(env_mode)
+    THREAD_MODE.with(|c| c.get()).unwrap_or_default()
 }
 
 /// Eight `i32` lanes with branchless element-wise operations.
@@ -320,17 +304,12 @@ mod tests {
         assert_eq!(SimdMode::Scalar.kernel(), KernelImpl::Scalar);
         assert_eq!(SimdMode::Auto.kernel(), KernelImpl::Simd);
         assert_eq!(SimdMode::Auto.to_string(), "auto");
-        // Thread override wins while set, clears back to the env default
-        // (DIBELLA_SIMD if the suite runs with it set — CI forces
-        // `scalar` in one pass — else Auto).
-        let env_default = std::env::var("DIBELLA_SIMD")
-            .ok()
-            .map_or(SimdMode::Auto, |v| v.parse().expect("valid DIBELLA_SIMD"));
+        // Thread override wins while set and clears back to Auto.
         set_thread_simd_mode(Some(SimdMode::Scalar));
         assert_eq!(thread_simd_mode(), SimdMode::Scalar);
         set_thread_simd_mode(Some(SimdMode::Auto));
         assert_eq!(thread_simd_mode(), SimdMode::Auto);
         set_thread_simd_mode(None);
-        assert_eq!(thread_simd_mode(), env_default);
+        assert_eq!(thread_simd_mode(), SimdMode::Auto);
     }
 }

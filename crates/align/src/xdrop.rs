@@ -71,7 +71,7 @@ pub struct Extension {
 /// Thin wrapper over the **scalar** kernel with a throwaway workspace;
 /// hot callers should hold a per-thread [`AlignWorkspace`] and call the
 /// workspace variant directly. Stays pinned to the scalar implementation
-/// regardless of the `DIBELLA_SIMD` knob so it can serve as the reference
+/// regardless of the kernel mode so it can serve as the reference
 /// oracle in differential tests.
 pub fn extend_xdrop(s: &[u8], t: &[u8], scoring: Scoring, x: i32) -> Extension {
     extend_xdrop_with(s, t, scoring, x, &mut AlignWorkspace::new(), KernelImpl::Scalar)
@@ -81,7 +81,7 @@ pub fn extend_xdrop(s: &[u8], t: &[u8], scoring: Scoring, x: i32) -> Extension {
 /// antidiagonal and — once `ws` has warmed up — zero per call.
 ///
 /// Runs the kernel implementation selected by the thread's
-/// [`crate::simd::SimdMode`] (the `DIBELLA_SIMD` knob); both
+/// [`crate::simd::SimdMode`]; both
 /// implementations are bit-identical to [`extend_xdrop`] for every input
 /// and any prior workspace state.
 pub fn extend_xdrop_with_workspace(
@@ -568,7 +568,7 @@ pub fn extend_xdrop_dir_with(
 /// the shared k-mer as the starting position (seed)").
 ///
 /// Thin wrapper over the **scalar** kernel with a throwaway workspace,
-/// pinned regardless of the `DIBELLA_SIMD` knob so it can serve as the
+/// pinned regardless of the kernel mode so it can serve as the
 /// reference oracle in differential tests.
 ///
 /// # Panics

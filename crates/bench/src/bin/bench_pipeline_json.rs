@@ -35,10 +35,10 @@
 //! Perf PRs diff this file to leave a measurable end-to-end trajectory;
 //! wall seconds are machine-dependent (compare ratios across hosts), while
 //! rounds, bytes and peaks are exact and must only move when the exchange
-//! engine or the workload does. The usual knobs apply: `DIBELLA_SCALE`,
-//! `DIBELLA_TRANSPORT`, `DIBELLA_THREADS` and `DIBELLA_ROUND_MB`
-//! (`DIBELLA_SEED_MODE` and `DIBELLA_OVERLAP_ENGINE` are ignored — both
-//! modes and both engines are always recorded).
+//! engine or the workload does. `DIBELLA_SCALE` and the environment's
+//! pipeline knobs apply as in every harness run (the seed mode and the
+//! overlap engine are overridden — both modes and both engines are
+//! always recorded).
 
 use dibella_bench::{config_for, dataset, Workload};
 use dibella_core::{run_pipeline, PipelineResult, RankReport, SeedMode};

@@ -12,7 +12,8 @@ use dibella_netmodel::mrate;
 use dibella_overlap::SeedPolicy;
 
 fn main() {
-    println!("# threads = {} (DIBELLA_THREADS)", env_threads());
+    let threads = config_for(Workload::E30, SeedPolicy::Single).effective_threads();
+    println!("# threads = {threads} (DIBELLA_THREADS)");
     let mut cache = ReportCache::new();
     let series = platform_series(&mut cache, Workload::E30, SeedPolicy::Single, |reports, proj, _| {
         mrate(total_alignments(reports), proj.stage(Stage::Align).stage_seconds())

@@ -7,47 +7,29 @@
 //! execution at one-rank-per-modeled-core world sizes, memoization, and
 //! metric extraction.
 //!
-//! Scale knobs (environment): `DIBELLA_SCALE` (E. coli 30×-like genome
-//! scale, default 0.01 ≈ 46 kb) and `DIBELLA_SCALE_100X` (100×-like,
-//! default 0.006). `scale = 1.0` reproduces paper-sized inputs.
-//! `DIBELLA_THREADS` sets the intra-rank thread count of all four stages
-//! (default 1; `0` = all hardware threads; the deprecated
-//! `DIBELLA_ALIGN_THREADS` spelling still works) — results are
-//! bit-identical at every setting, only wall time changes.
-//! `DIBELLA_TRANSPORT`
-//! (`shared` | `sim:<platform>[:<ranks_per_node>]`) selects the
-//! communication backend: under `sim:*` the pipeline executes on a
-//! modeled interconnect — counters and alignments are unchanged, but the
-//! recorded `exchange_wall` is the virtual platform's.
-//! `DIBELLA_ROUND_MB` caps every stage's streaming-exchange rounds at
-//! that many MiB per rank (unset = unbounded); alignments and byte
-//! totals are bit-identical at every cap.
-//! `DIBELLA_SIMD` (`scalar` | `auto`, default `auto`) selects the
-//! stage-4 alignment-kernel implementation; it is read by the align
-//! crate itself, so it reaches every harness run without plumbing.
-//! Scalar and lane-SIMD kernels are bit-identical — only cells/s moves
-//! (tracked side by side in `BENCH_kernels.json`).
-//! `DIBELLA_SEED_MODE` (`reliable` | `minimizer`, default `reliable`)
-//! selects the seed front end: the paper's two-pass reliable-k-mer
-//! counter, or the single-pass minimizer sketch (fewer wire bytes, seeds
-//! filtered by colinear chaining).
-//! `DIBELLA_OVERLAP_ENGINE` (`pairs` | `spgemm`, default `pairs`)
-//! selects the overlap-stage exchange engine (bit-identical alignments;
-//! the SpGEMM engine dedups shared-seed records at the source), and
-//! `DIBELLA_PAIR_BATCH` / `DIBELLA_SPGEMM_BLOCK` tune each engine's
-//! executor batch unit.
+//! Pipeline knobs come from the environment through the one table in
+//! `dibella_core::config::KNOBS` (`DIBELLA_THREADS`, `DIBELLA_TRANSPORT`,
+//! `DIBELLA_ROUND_MB`, `DIBELLA_SIMD`, `DIBELLA_SEED_MODE`, …), resolved
+//! once per run by [`config_for`] over the workload's shape. Every one of
+//! them leaves alignments and logical counters bit-identical except the
+//! seed mode; the rest only move wall time, memory or modeled exchange.
+//!
+//! Two settings belong to the harness alone: `DIBELLA_SCALE` (E. coli
+//! 30×-like genome scale, default 0.01 ≈ 46 kb) and `DIBELLA_SCALE_100X`
+//! (100×-like, default 0.006). `scale = 1.0` reproduces paper-sized
+//! inputs. A bad value of any setting ends the run with an `error:` line.
 
 #![warn(missing_docs)]
 
-use dibella_comm::TransportKind;
-use dibella_core::{run_pipeline, PipelineConfig, RankReport, SeedMode};
+use dibella_core::{run_pipeline, PipelineConfig, RankReport};
 use dibella_datagen::{ecoli_100x_like, ecoli_30x_like, ecoli_30x_sample_like, SyntheticDataset};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_netmodel::{NodeMapping, Platform, Series};
-use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy};
+use dibella_overlap::SeedPolicy;
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Node counts of every strong-scaling figure (x-axis of Figs. 3–13).
@@ -83,97 +65,23 @@ impl Workload {
     }
 }
 
-fn env_scale(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// End the run with an `error:` line naming a bad setting.
+fn fail(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }
 
-/// The `DIBELLA_THREADS` environment knob (with the deprecated
-/// `DIBELLA_ALIGN_THREADS` as fallback): intra-rank threads for every
-/// pipeline stage (see [`dibella_core::PipelineConfig::threads`]).
-pub fn env_threads() -> usize {
-    PipelineConfig::env_threads()
-}
-
-/// **Deprecated alias** for [`env_threads`] — the knob now governs all
-/// four stages, not just alignment.
-pub fn env_align_threads() -> usize {
-    env_threads()
-}
-
-/// The `DIBELLA_SEED_MODE` environment knob: which seed front end the
-/// pipeline runs (`reliable` | `minimizer`; see
-/// [`dibella_core::PipelineConfig::seed_mode`]). Invalid values abort
-/// loudly rather than silently benchmarking the wrong mode.
-pub fn env_seed_mode() -> SeedMode {
-    PipelineConfig::env_seed_mode()
-}
-
-/// The `DIBELLA_TRANSPORT` environment knob: which communication backend
-/// pipeline runs execute on (see
-/// [`dibella_core::PipelineConfig::transport`]). Invalid values abort
-/// loudly rather than silently benchmarking the wrong backend.
-pub fn env_transport() -> TransportKind {
-    match std::env::var("DIBELLA_TRANSPORT") {
-        Err(_) => TransportKind::default(),
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("DIBELLA_TRANSPORT: {e}")),
-    }
-}
-
-/// The `DIBELLA_ROUND_MB` environment knob: the per-rank, per-round byte
-/// cap of the streaming exchange engine, in MiB (fractions allowed; see
-/// [`dibella_core::PipelineConfig::max_exchange_bytes_per_round`]).
-/// Unset = unbounded (one monolithic exchange per stage). Invalid values
-/// abort loudly rather than silently benchmarking the wrong rounds.
-pub fn env_round_bytes() -> usize {
-    match std::env::var("DIBELLA_ROUND_MB") {
-        Err(_) => usize::MAX,
-        Ok(v) => {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .unwrap_or_else(|| panic!("DIBELLA_ROUND_MB: invalid value {v:?} (positive MiB)"));
-            (mb * (1 << 20) as f64) as usize
-        }
-    }
-}
-
-/// The `DIBELLA_OVERLAP_ENGINE` environment knob: which overlap-stage
-/// exchange engine pipeline runs use (`pairs` | `spgemm`; see
-/// [`dibella_core::PipelineConfig::overlap_engine`]). Invalid values
-/// abort loudly rather than silently benchmarking the wrong engine.
-pub fn env_overlap_engine() -> OverlapEngine {
-    PipelineConfig::env_overlap_engine()
-}
-
-/// The `DIBELLA_PAIR_BATCH` environment knob: pair indices per executor
-/// batch in the `pairs` engine (default
-/// [`OverlapConfig::DEFAULT_PAIR_BATCH`]).
-pub fn env_pair_batch() -> usize {
-    match std::env::var("DIBELLA_PAIR_BATCH") {
-        Err(_) => OverlapConfig::DEFAULT_PAIR_BATCH,
+/// A harness-only numeric setting from the environment: `default` when
+/// unset; a value that is not a positive number ends the run.
+pub fn env_setting<T: FromStr + PartialOrd + Default>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Err(_) => default,
         Ok(v) => v
             .trim()
             .parse()
-            .unwrap_or_else(|_| panic!("DIBELLA_PAIR_BATCH must be a batch size, got {v:?}")),
-    }
-}
-
-/// The `DIBELLA_SPGEMM_BLOCK` environment knob: rows per SpGEMM block in
-/// the `spgemm` engine (default
-/// [`OverlapConfig::DEFAULT_SPGEMM_BLOCK`]).
-pub fn env_spgemm_block() -> usize {
-    match std::env::var("DIBELLA_SPGEMM_BLOCK") {
-        Err(_) => OverlapConfig::DEFAULT_SPGEMM_BLOCK,
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("DIBELLA_SPGEMM_BLOCK must be a row count, got {v:?}")),
+            .ok()
+            .filter(|x| *x > T::default())
+            .unwrap_or_else(|| fail(format!("{var} {v:?}: expected a positive number"))),
     }
 }
 
@@ -223,33 +131,37 @@ pub fn spgemm_fixture(n_reads: u32, n_kmers: usize, ranks: usize, seed: u64) -> 
 /// Construct a workload's synthetic dataset at the bench scale.
 pub fn dataset(w: Workload) -> SyntheticDataset {
     match w {
-        Workload::E30 => ecoli_30x_like(env_scale("DIBELLA_SCALE", 0.01), 42),
-        Workload::E100 => ecoli_100x_like(env_scale("DIBELLA_SCALE_100X", 0.006), 42),
-        Workload::E30Sample => ecoli_30x_sample_like(env_scale("DIBELLA_SCALE", 0.01), 42),
+        Workload::E30 => ecoli_30x_like(env_setting("DIBELLA_SCALE", 0.01), 42),
+        Workload::E100 => ecoli_100x_like(env_setting("DIBELLA_SCALE_100X", 0.006), 42),
+        Workload::E30Sample => ecoli_30x_sample_like(env_setting("DIBELLA_SCALE", 0.01), 42),
     }
 }
 
-/// Pipeline configuration for a workload and seed policy. The per-pair
-/// seed cap is 4 at bench scale: the scaled genome makes average true
-/// overlaps long relative to reads, so uncapped `d = k` exploration would
-/// inflate intensity beyond the paper's regime.
+/// Pipeline configuration for a workload and seed policy, with the
+/// environment's pipeline knobs applied; a bad knob value ends the run.
+/// The per-pair seed cap is 4 at bench scale: the scaled genome makes
+/// average true overlaps long relative to reads, so uncapped `d = k`
+/// exploration would inflate intensity beyond the paper's regime.
 pub fn config_for(w: Workload, policy: SeedPolicy) -> PipelineConfig {
+    config_with(w, policy, |var| std::env::var(var).ok()).unwrap_or_else(|e| fail(e))
+}
+
+/// [`config_for`] over an explicit environment lookup.
+pub fn config_with(
+    w: Workload,
+    policy: SeedPolicy,
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<PipelineConfig, String> {
     let (depth, error_rate) = w.shape();
-    PipelineConfig {
+    let base = PipelineConfig {
         k: 17,
         depth,
         error_rate,
         seed_policy: policy,
         max_seeds_per_pair: 4,
-        threads: Some(env_threads()),
-        transport: env_transport(),
-        max_exchange_bytes_per_round: env_round_bytes(),
-        seed_mode: env_seed_mode(),
-        overlap_engine: env_overlap_engine(),
-        pair_batch: env_pair_batch(),
-        spgemm_block: env_spgemm_block(),
         ..Default::default()
-    }
+    };
+    PipelineConfig::resolve(base, &HashMap::new(), env)
 }
 
 /// Memoizing pipeline runner: one full SPMD execution per distinct
@@ -341,13 +253,7 @@ pub fn print_figure(title: &str, node_counts: &[usize], series: &[Series]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that mutate process-global environment variables
-    /// (`DIBELLA_SCALE`, `DIBELLA_TRANSPORT`): the test harness runs on
-    /// parallel threads, and a sibling test reading the env mid-mutation
-    /// would nondeterministically pick up the wrong knob.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    use dibella_core::SeedMode;
 
     #[test]
     fn workload_shapes() {
@@ -358,102 +264,38 @@ mod tests {
 
     #[test]
     fn config_policy_propagates() {
-        let cfg = config_for(Workload::E100, SeedPolicy::MinDistance(1000));
+        let cfg = config_with(Workload::E100, SeedPolicy::MinDistance(1000), |_| None).unwrap();
         assert_eq!(cfg.depth, 100.0);
         assert_eq!(cfg.seed_policy, SeedPolicy::MinDistance(1000));
         assert_eq!(cfg.k, 17);
+        assert_eq!(cfg.max_seeds_per_pair, 4);
+        assert_eq!(cfg.effective_threads(), 1);
     }
 
     #[test]
-    fn transport_env_knob() {
-        use dibella_comm::SimNetConfig;
-        use dibella_netmodel::PlatformId;
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_TRANSPORT", "sim:edison:4");
-        let kind = env_transport();
-        assert_eq!(
-            kind,
-            TransportKind::SimNet(SimNetConfig {
-                platform: PlatformId::EdisonXC30,
-                ranks_per_node: 4
-            })
-        );
-        assert_eq!(config_for(Workload::E30, SeedPolicy::Single).transport, kind);
-        std::env::remove_var("DIBELLA_TRANSPORT");
-        assert_eq!(env_transport(), TransportKind::SharedMem);
-    }
-
-    #[test]
-    fn round_mb_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_ROUND_MB", "2");
-        assert_eq!(env_round_bytes(), 2 << 20);
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).max_exchange_bytes_per_round,
-            2 << 20
-        );
-        // Fractional MiB are allowed (tiny caps for the multi-round path).
-        std::env::set_var("DIBELLA_ROUND_MB", "0.5");
-        assert_eq!(env_round_bytes(), 1 << 19);
-        std::env::remove_var("DIBELLA_ROUND_MB");
-        assert_eq!(env_round_bytes(), usize::MAX);
-    }
-
-    #[test]
-    fn threads_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_THREADS", "3");
-        std::env::set_var("DIBELLA_ALIGN_THREADS", "9");
-        assert_eq!(env_threads(), 3, "DIBELLA_THREADS wins");
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).effective_threads(),
-            3
-        );
-        std::env::remove_var("DIBELLA_THREADS");
-        assert_eq!(env_threads(), 9, "deprecated spelling still honored");
-        std::env::remove_var("DIBELLA_ALIGN_THREADS");
-        assert_eq!(env_threads(), 1);
-    }
-
-    #[test]
-    fn seed_mode_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_SEED_MODE", "minimizer");
-        assert_eq!(env_seed_mode(), SeedMode::Minimizer);
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).seed_mode,
-            SeedMode::Minimizer
-        );
-        std::env::remove_var("DIBELLA_SEED_MODE");
-        assert_eq!(env_seed_mode(), SeedMode::Reliable);
-    }
-
-    #[test]
-    fn overlap_engine_env_knobs() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_OVERLAP_ENGINE", "spgemm");
-        std::env::set_var("DIBELLA_PAIR_BATCH", "33");
-        std::env::set_var("DIBELLA_SPGEMM_BLOCK", "9");
-        assert_eq!(env_overlap_engine(), OverlapEngine::Spgemm);
-        let cfg = config_for(Workload::E30, SeedPolicy::Single);
-        assert_eq!(cfg.overlap_engine, OverlapEngine::Spgemm);
-        assert_eq!(cfg.pair_batch, 33);
-        assert_eq!(cfg.spgemm_block, 9);
-        std::env::remove_var("DIBELLA_OVERLAP_ENGINE");
-        std::env::remove_var("DIBELLA_PAIR_BATCH");
-        std::env::remove_var("DIBELLA_SPGEMM_BLOCK");
-        assert_eq!(env_overlap_engine(), OverlapEngine::Pairs);
-        assert_eq!(env_pair_batch(), OverlapConfig::DEFAULT_PAIR_BATCH);
-        assert_eq!(env_spgemm_block(), OverlapConfig::DEFAULT_SPGEMM_BLOCK);
+    fn env_knobs_apply_over_the_workload_shape() {
+        let env = |var: &str| match var {
+            "DIBELLA_SEED_MODE" => Some("minimizer".to_owned()),
+            "DIBELLA_ROUND_MB" => Some("2".to_owned()),
+            _ => None,
+        };
+        let cfg = config_with(Workload::E30, SeedPolicy::Single, env).unwrap();
+        assert_eq!(cfg.seed_mode, SeedMode::Minimizer);
+        assert_eq!(cfg.max_exchange_bytes_per_round, 2 << 20);
+        assert_eq!((cfg.depth, cfg.error_rate), Workload::E30.shape());
+        let bad = |var: &str| (var == "DIBELLA_THREADS").then(|| "four".to_owned());
+        let err = config_with(Workload::E30, SeedPolicy::Single, bad).unwrap_err();
+        assert!(err.starts_with("DIBELLA_THREADS"), "{err}");
     }
 
     #[test]
     fn cache_memoizes() {
-        // Tiny world over the sample workload: the second call must not
-        // re-run (identity of the Arc proves it).
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_SCALE", "0.002");
+        // Tiny world over a tiny sample: the second call must not re-run
+        // (identity of the Arc proves it).
         let mut cache = ReportCache::new();
+        cache
+            .datasets
+            .insert(Workload::E30Sample, Arc::new(ecoli_30x_sample_like(0.002, 42)));
         let a = cache.reports(Workload::E30Sample, SeedPolicy::Single, 2);
         let b = cache.reports(Workload::E30Sample, SeedPolicy::Single, 2);
         assert!(Arc::ptr_eq(&a, &b));

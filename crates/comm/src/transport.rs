@@ -848,38 +848,11 @@ impl TransportKind {
     }
 }
 
-/// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport. When
-/// both are absent, the `DIBELLA_FAULTS` env var supplies `[seed=N,]spec`
-/// (panicking on unparsable values, like every other `DIBELLA_*` knob),
+/// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport,
 /// defaulting to the aggressive `mixed` preset at seed 0.
 fn parse_faulty_tail(tail: &[&str]) -> Result<(u64, FaultSpec), String> {
     match tail {
-        [] => match std::env::var("DIBELLA_FAULTS") {
-            Err(_) => Ok((0, FaultSpec::mixed())),
-            Ok(v) => {
-                let mut seed = 0u64;
-                let mut spec_entries = Vec::new();
-                for entry in v.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-                    match entry.strip_prefix("seed=") {
-                        Some(n) => {
-                            seed = n.parse().unwrap_or_else(|_| {
-                                panic!("invalid DIBELLA_FAULTS seed {n:?} (u64)")
-                            })
-                        }
-                        None => spec_entries.push(entry),
-                    }
-                }
-                let spec = if spec_entries.is_empty() {
-                    FaultSpec::mixed()
-                } else {
-                    spec_entries
-                        .join(",")
-                        .parse()
-                        .unwrap_or_else(|e| panic!("invalid DIBELLA_FAULTS {v:?}: {e}"))
-                };
-                Ok((seed, spec))
-            }
-        },
+        [] => Ok((0, FaultSpec::mixed())),
         [seed] => {
             let seed = seed
                 .parse()
@@ -909,8 +882,7 @@ impl std::str::FromStr for TransportKind {
     /// is matched greedily (longest colon-prefix that parses), so
     /// `faulty:sim:cori:2` wraps `sim:cori:2`; to pass a seed to a `sim`
     /// inner, spell out its ranks-per-node (`faulty:sim:cori:2:42`).
-    /// With seed and spec absent, `DIBELLA_FAULTS` is consulted
-    /// (`[seed=N,]<spec>`), defaulting to the `mixed` preset at seed 0.
+    /// Seed and spec default to the `mixed` preset at seed 0.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "shared" {
             return Ok(TransportKind::SharedMem);

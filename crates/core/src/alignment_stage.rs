@@ -252,9 +252,9 @@ fn align_batch(
     let mut out = Vec::new();
     let k = cfg.k;
     // Pin this worker thread's kernel implementation for the batch:
-    // `Some(mode)` from the config wins, `None` defers to the
-    // `DIBELLA_SIMD` environment knob. Set per batch (not per pipeline)
-    // because executor threads outlive any one `PipelineConfig`.
+    // `None` in the config means `SimdMode::Auto`. Set per batch (not
+    // per pipeline) because executor threads outlive any one
+    // `PipelineConfig`.
     dibella_align::set_thread_simd_mode(cfg.simd);
     WORKSPACE.with(|cell| {
         let ws = &mut *cell.borrow_mut();

@@ -1,10 +1,14 @@
-//! End-to-end pipeline configuration.
+//! End-to-end pipeline configuration, and [`KNOBS`]: the one table of
+//! command-line flags and environment variables that set it. Binaries
+//! resolve a config once with [`PipelineConfig::resolve`], handing in the
+//! environment lookup; the pipeline crates never read the environment.
 
 use dibella_align::{Scoring, SimdMode};
 use dibella_comm::TransportKind;
 use dibella_kcount::KcountConfig;
 use dibella_kmer::params;
 use dibella_overlap::{ChainConfig, OverlapConfig, OverlapEngine, SeedPolicy, TaskPlacement};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -57,8 +61,7 @@ pub struct PipelineConfig {
     /// Override the derived high-occurrence threshold `m`.
     pub max_multiplicity: Option<u32>,
     /// Seed source for the overlap stage: the paper's reliable-k-mer
-    /// passes, or the minimizer sketch (`--seed-mode`,
-    /// `DIBELLA_SEED_MODE`).
+    /// passes, or the minimizer sketch.
     pub seed_mode: SeedMode,
     /// Minimizer window width `w` (number of consecutive k-mer windows a
     /// selected k-mer must win; only used under
@@ -73,16 +76,13 @@ pub struct PipelineConfig {
     pub seed_policy: SeedPolicy,
     /// Cap on seeds explored per pair.
     pub max_seeds_per_pair: usize,
-    /// Overlap-stage exchange engine (`--overlap-engine`,
-    /// `DIBELLA_OVERLAP_ENGINE`): the paper's per-seed `pairs` records, or
+    /// Overlap-stage exchange engine: the paper's per-seed `pairs` records, or
     /// the source-deduplicating `spgemm` reformulation. Bit-identical
     /// alignments either way.
     pub overlap_engine: OverlapEngine,
-    /// Pair indices per executor batch in the `pairs` engine
-    /// (`--pair-batch`, `DIBELLA_PAIR_BATCH`).
+    /// Pair indices per executor batch in the `pairs` engine.
     pub pair_batch: usize,
-    /// Rows per SpGEMM block in the `spgemm` engine (`--spgemm-block`,
-    /// `DIBELLA_SPGEMM_BLOCK`).
+    /// Rows per SpGEMM block in the `spgemm` engine.
     pub spgemm_block: usize,
     /// x-drop termination parameter `X` of the alignment kernel.
     pub xdrop: i32,
@@ -98,9 +98,8 @@ pub struct PipelineConfig {
     /// exchange through the `RoundExchange` engine in rounds of at most
     /// this many send bytes (plus at most one record of slack — records
     /// never split across rounds), packing each round while the previous
-    /// one is in flight. The CLI exposes this as `--round-mb`, the bench
-    /// harness as `DIBELLA_ROUND_MB`. Results are bit-identical at every
-    /// setting; only memory footprint and comm/compute overlap change.
+    /// one is in flight. Results are bit-identical at every setting; only
+    /// memory footprint and comm/compute overlap change.
     pub max_exchange_bytes_per_round: usize,
     /// Bloom filter false-positive target.
     pub bloom_fp_rate: f64,
@@ -111,19 +110,12 @@ pub struct PipelineConfig {
     /// Alignment-task placement: the paper's parity heuristic, or the §9
     /// future-work longer-read placement that minimizes read movement.
     pub placement: TaskPlacement,
-    /// **Deprecated alias** for [`PipelineConfig::threads`], kept so
-    /// existing configs and the `--align-threads` / `DIBELLA_ALIGN_THREADS`
-    /// spellings keep working: it is only consulted when `threads` is
-    /// `None`. Historically this knob threaded the alignment stage alone;
-    /// the whole pipeline now runs on one executor.
-    pub align_threads: usize,
     /// Intra-rank threads for **all four stages** (hybrid parallelism,
     /// paper §9 / diBELLA 2D lineage): `1` = sequential, `0` = one thread
     /// per hardware core, `n` = exactly `n` threads. `None` (the default)
-    /// falls back to the deprecated [`PipelineConfig::align_threads`].
-    /// Every stage shards its work into fixed-size batches on the shared
-    /// `BatchedExecutor` and merges in batch order, so results are
-    /// bit-identical for every value.
+    /// runs sequentially. Every stage shards its work into fixed-size
+    /// batches on the shared `BatchedExecutor` and merges in batch order,
+    /// so results are bit-identical for every value.
     pub threads: Option<usize>,
     /// Communication backend the SPMD world runs on: `SharedMem` (the
     /// default) executes collectives through real shared memory;
@@ -131,12 +123,10 @@ pub struct PipelineConfig {
     /// exchanges but reports the `exchange_wall` a modeled interconnect
     /// (virtual Cori, Edison, Titan or AWS) would have charged.
     pub transport: TransportKind,
-    /// Alignment-kernel implementation for stage 4: `Some(mode)` pins it
-    /// for every worker thread; `None` (the default) defers to the
-    /// `DIBELLA_SIMD` environment knob (itself defaulting to
-    /// [`SimdMode::Auto`], the lane-SIMD kernels). Scalar and SIMD
-    /// kernels are bit-identical, so this only moves throughput. The CLI
-    /// exposes this as `--simd`, the bench harness as `DIBELLA_SIMD`.
+    /// Alignment-kernel implementation for stage 4, pinned for every
+    /// worker thread; `None` (the default) means [`SimdMode::Auto`], the
+    /// lane-SIMD kernels. Scalar and SIMD kernels are bit-identical, so
+    /// this only moves throughput.
     pub simd: Option<SimdMode>,
     /// When set (`--checkpoint-dir`), each rank serializes its completed
     /// stage outputs (reliable/minimizer k-mer table after stage 2, the
@@ -172,7 +162,6 @@ impl Default for PipelineConfig {
             bloom_fp_rate: 0.05,
             hll_precision: None,
             placement: TaskPlacement::Parity,
-            align_threads: 1,
             threads: None,
             transport: TransportKind::SharedMem,
             simd: None,
@@ -205,69 +194,38 @@ impl PipelineConfig {
         kc
     }
 
-    /// The intra-rank thread count every stage actually runs with — the
-    /// single resolution point for the `threads` knob: `threads` if set
-    /// (falling back to the deprecated `align_threads`), with `0` resolved
-    /// to the hardware parallelism.
+    /// The intra-rank thread count every stage actually runs with:
+    /// `threads` (default 1), with `0` resolved to the hardware
+    /// parallelism.
     pub fn effective_threads(&self) -> usize {
-        let n = self.threads.unwrap_or(self.align_threads);
-        if n == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            n
+        match self.threads.unwrap_or(1) {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            n => n,
         }
     }
 
-    /// **Deprecated alias** for [`PipelineConfig::effective_threads`] —
-    /// the stages share one thread pool, so there is no longer a separate
-    /// alignment-stage width.
-    pub fn effective_align_threads(&self) -> usize {
-        self.effective_threads()
-    }
-
-    /// The thread count requested via the environment: `DIBELLA_THREADS`,
-    /// falling back to the deprecated `DIBELLA_ALIGN_THREADS` spelling,
-    /// defaulting to `1` (sequential) when neither is set. Panics on an
-    /// unparsable value — a silently ignored perf knob is worse than a
-    /// crash. Feed the result to [`PipelineConfig::threads`].
-    pub fn env_threads() -> usize {
-        for var in ["DIBELLA_THREADS", "DIBELLA_ALIGN_THREADS"] {
-            if let Ok(v) = std::env::var(var) {
-                return v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{var} must be a thread count, got {v:?}"));
+    /// Resolve a configuration from command-line flags and environment
+    /// variables over `base`, one [`KNOBS`] row at a time and in table
+    /// order: a row's flag beats its env variable, which beats `base`.
+    /// `flags` maps flag names without dashes (`"k"`, `"round-mb"`) to
+    /// values; `env` looks a variable up. Flags that name no row are
+    /// ignored here (the caller owns its own flags). The error names the
+    /// flag or variable and its value.
+    pub fn resolve(
+        base: PipelineConfig,
+        flags: &HashMap<String, String>,
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<PipelineConfig, String> {
+        let mut cfg = base;
+        for knob in KNOBS {
+            let flag = knob.flags.iter().find_map(|f| Some((dashed(f), flags.get(*f)?.clone())));
+            let given = flag.or_else(|| knob.env.and_then(|e| Some((e.to_owned(), env(e)?))));
+            if let Some((source, value)) = given {
+                (knob.apply)(&mut cfg, value.trim())
+                    .map_err(|e| format!("{source} {value:?}: {e}"))?;
             }
         }
-        1
-    }
-
-    /// The seed mode requested via the environment (`DIBELLA_SEED_MODE`),
-    /// defaulting to [`SeedMode::Reliable`] when unset. Panics on an
-    /// unparsable value — a silently ignored mode switch is worse than a
-    /// crash. Feed the result to [`PipelineConfig::seed_mode`].
-    pub fn env_seed_mode() -> SeedMode {
-        match std::env::var("DIBELLA_SEED_MODE") {
-            Err(_) => SeedMode::Reliable,
-            Ok(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("DIBELLA_SEED_MODE: {e}")),
-        }
-    }
-
-    /// The overlap engine requested via the environment
-    /// (`DIBELLA_OVERLAP_ENGINE`), defaulting to [`OverlapEngine::Pairs`]
-    /// when unset. Panics on an unparsable value — a silently ignored
-    /// engine switch is worse than a crash. Feed the result to
-    /// [`PipelineConfig::overlap_engine`].
-    pub fn env_overlap_engine() -> OverlapEngine {
-        match std::env::var("DIBELLA_OVERLAP_ENGINE") {
-            Err(_) => OverlapEngine::Pairs,
-            Ok(v) => v
-                .trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("DIBELLA_OVERLAP_ENGINE: {e}")),
-        }
+        Ok(cfg)
     }
 
     /// Derive the overlap-stage configuration. The chain filter is
@@ -290,6 +248,211 @@ impl PipelineConfig {
         }
     }
 }
+
+/// One configuration knob: its spellings and the parser that sets it.
+pub struct Knob {
+    /// Flag names without dashes; one letter is spelled `-x`, longer
+    /// names `--name`.
+    pub flags: &'static [&'static str],
+    /// The environment variable that sets the knob, if any.
+    pub env: Option<&'static str>,
+    /// Value placeholder, two spaces, then a one-line description.
+    pub help: &'static str,
+    /// Parse a (trimmed) value into the config, range-checking it.
+    pub apply: fn(&mut PipelineConfig, &str) -> Result<(), String>,
+}
+
+impl Knob {
+    /// The knob's usage line: spellings, placeholder, description, env.
+    pub fn usage(&self) -> String {
+        let names: Vec<String> = self.flags.iter().map(|f| dashed(f)).collect();
+        let (meta, text) = self.help.split_once("  ").unwrap_or(("", self.help));
+        let env = self.env.map(|e| format!(" [env {e}]")).unwrap_or_default();
+        format!("{:<31} {text}{env}", format!("{} {meta}", names.join("|")))
+    }
+}
+
+fn dashed(flag: &str) -> String {
+    if flag.len() == 1 {
+        format!("-{flag}")
+    } else {
+        format!("--{flag}")
+    }
+}
+
+fn num<T: FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// Every pipeline knob settable from a command line or the environment.
+/// [`PipelineConfig::resolve`] applies the rows in this order, so a row
+/// may read a field an earlier row set (`--policy k` reads `k`).
+pub const KNOBS: &[Knob] = &[
+    Knob {
+        flags: &["k"],
+        env: None,
+        help: "K  k-mer length, 4..=32 (default 17)",
+        // One 64-bit word packs at most 32 bases.
+        apply: |c, v| {
+            c.k = num(v)
+                .filter(|k| (4..=32).contains(k))
+                .ok_or("expected a k-mer length in 4..=32")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["e"],
+        env: None,
+        help: "ERR  assumed per-base error rate, in [0, 1) (default 0.15; drives m)",
+        apply: |c, v| {
+            c.error_rate = num(v)
+                .filter(|e| (0.0..1.0).contains(e))
+                .ok_or("expected an error rate in [0, 1)")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["d"],
+        env: None,
+        help: "DEPTH  assumed depth of coverage, > 0 (default 30; drives m)",
+        apply: |c, v| {
+            c.depth = num(v)
+                .filter(|&d: &f64| d > 0.0 && d.is_finite())
+                .ok_or("expected a positive depth")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["threads", "t"],
+        env: Some("DIBELLA_THREADS"),
+        help: "N  intra-rank threads of every stage, 0 = one per core (default 1)",
+        apply: |c, v| {
+            c.threads = Some(num(v).ok_or("expected a thread count")?);
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["transport"],
+        env: Some("DIBELLA_TRANSPORT"),
+        help: "KIND  shared | sim:<platform>[:<ranks_per_node>] | faulty:<inner>[:<seed>[:<spec>]]",
+        apply: |c, v| {
+            c.transport = v.parse()?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["round-mb"],
+        env: Some("DIBELLA_ROUND_MB"),
+        help: "MB  exchange-round byte cap per rank, in MiB (default unbounded)",
+        apply: |c, v| {
+            c.max_exchange_bytes_per_round = num(v)
+                .filter(|&mb: &f64| mb > 0.0)
+                .map(|mb| (mb * (1u64 << 20) as f64) as usize)
+                .filter(|&bytes| bytes > 0)
+                .ok_or("expected a positive MiB count of at least one byte")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["checkpoint-dir"],
+        env: None,
+        help: "DIR  save stage outputs here and resume from the last completed stage",
+        apply: |c, v| {
+            c.checkpoint_dir = Some(v.into());
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["policy"],
+        env: None,
+        help: "one|1000|k  seed exploration policy (default one)",
+        apply: |c, v| {
+            c.seed_policy = match v {
+                "one" => SeedPolicy::Single,
+                "1000" => SeedPolicy::MinDistance(1000),
+                "k" => SeedPolicy::MinDistance(c.k as u32),
+                _ => return Err("expected one|1000|k".into()),
+            };
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["seed-mode"],
+        env: Some("DIBELLA_SEED_MODE"),
+        help: "reliable|minimizer  seed front end (default reliable)",
+        apply: |c, v| {
+            c.seed_mode = v.parse()?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["minimizer-w"],
+        env: None,
+        help: "W  minimizer window width, >= 1 (default 7)",
+        apply: |c, v| {
+            c.minimizer_w = num(v)
+                .filter(|&w| w >= 1)
+                .ok_or("expected a window width >= 1")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["overlap-engine"],
+        env: Some("DIBELLA_OVERLAP_ENGINE"),
+        help: "pairs|spgemm  overlap exchange engine (default pairs)",
+        apply: |c, v| {
+            c.overlap_engine = v.parse()?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["pair-batch"],
+        env: Some("DIBELLA_PAIR_BATCH"),
+        help: "N  pair indices per executor batch of the pairs engine",
+        apply: |c, v| {
+            c.pair_batch = num(v).ok_or("expected a batch size")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["spgemm-block"],
+        env: Some("DIBELLA_SPGEMM_BLOCK"),
+        help: "ROWS  rows per block of the spgemm engine",
+        apply: |c, v| {
+            c.spgemm_block = num(v).ok_or("expected a row count")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["x"],
+        env: None,
+        help: "XDROP  x-drop threshold, > 0 (default 25)",
+        apply: |c, v| {
+            c.xdrop = num(v)
+                .filter(|&x| x > 0)
+                .ok_or("expected a positive x-drop")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["min-score"],
+        env: None,
+        help: "S  drop alignments scoring below S (default 0)",
+        apply: |c, v| {
+            c.min_align_score = num(v).ok_or("expected an integer score")?;
+            Ok(())
+        },
+    },
+    Knob {
+        flags: &["simd"],
+        env: Some("DIBELLA_SIMD"),
+        help: "scalar|auto  alignment kernels (default auto; identical output)",
+        apply: |c, v| {
+            c.simd = Some(v.parse()?);
+            Ok(())
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -338,8 +501,8 @@ mod tests {
     }
 
     #[test]
-    fn simd_knob_defaults_to_env_fallback() {
-        // None = resolve per worker thread from DIBELLA_SIMD at batch time.
+    fn simd_knob_defaults_to_auto() {
+        // None = the lane-SIMD kernels (SimdMode::Auto) on every thread.
         assert_eq!(PipelineConfig::default().simd, None);
         let cfg = PipelineConfig { simd: Some(SimdMode::Scalar), ..Default::default() };
         assert_eq!(cfg.simd, Some(SimdMode::Scalar));
@@ -386,17 +549,117 @@ mod tests {
 
     #[test]
     fn threads_knob_resolution() {
-        // Default: sequential via the deprecated alias.
+        // Default: sequential.
         assert_eq!(PipelineConfig::default().effective_threads(), 1);
-        // threads wins over align_threads when set.
-        let cfg = PipelineConfig { threads: Some(3), align_threads: 7, ..Default::default() };
+        let cfg = PipelineConfig { threads: Some(3), ..Default::default() };
         assert_eq!(cfg.effective_threads(), 3);
-        assert_eq!(cfg.effective_align_threads(), 3, "alias must delegate");
-        // Unset threads falls back to the alias.
-        let cfg = PipelineConfig { align_threads: 5, ..Default::default() };
-        assert_eq!(cfg.effective_threads(), 5);
-        // 0 means hardware parallelism, through either spelling.
+        // 0 means hardware parallelism.
         assert!(PipelineConfig { threads: Some(0), ..Default::default() }.effective_threads() >= 1);
-        assert!(PipelineConfig { align_threads: 0, ..Default::default() }.effective_threads() >= 1);
+    }
+
+    fn map(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect()
+    }
+
+    fn resolve(flags: &[(&str, &str)], env: &[(&str, &str)]) -> Result<PipelineConfig, String> {
+        let env = map(env);
+        PipelineConfig::resolve(PipelineConfig::default(), &map(flags), |n| env.get(n).cloned())
+    }
+
+    #[test]
+    fn flag_beats_env_beats_base() {
+        let base = PipelineConfig { threads: Some(5), ..Default::default() };
+        let env = |n: &str| (n == "DIBELLA_THREADS").then(|| "3".to_owned());
+        let threads = |flags: &[(&str, &str)], env: &dyn Fn(&str) -> Option<String>| {
+            PipelineConfig::resolve(base.clone(), &map(flags), env).unwrap().threads
+        };
+        assert_eq!(threads(&[], &|_| None), Some(5));
+        assert_eq!(threads(&[], &env), Some(3));
+        assert_eq!(threads(&[("threads", "2")], &env), Some(2));
+        assert_eq!(threads(&[("t", "4")], &env), Some(4));
+        // A flag that names no row is left to the caller.
+        assert!(resolve(&[("p", "4"), ("o", "out.paf")], &[]).is_ok());
+    }
+
+    #[test]
+    fn rows_apply_in_table_order() {
+        let cfg = resolve(&[("policy", "k"), ("k", "21")], &[]).unwrap();
+        assert_eq!(cfg.k, 21);
+        assert_eq!(cfg.seed_policy, SeedPolicy::MinDistance(21));
+    }
+
+    #[test]
+    fn table_spellings_are_unique() {
+        let mut seen = std::collections::HashSet::new();
+        for knob in KNOBS {
+            for name in knob.flags.iter().copied().chain(knob.env) {
+                assert!(seen.insert(name), "{name} spelled twice");
+            }
+            assert!(knob.help.contains("  "), "{:?} help lacks a placeholder", knob.flags);
+            assert!(knob.usage().starts_with('-'));
+        }
+    }
+
+    #[test]
+    fn every_env_name_parses_a_valid_value() {
+        let valid = [
+            ("DIBELLA_THREADS", "3"),
+            ("DIBELLA_TRANSPORT", "sim:edison:4"),
+            ("DIBELLA_ROUND_MB", "0.5"),
+            ("DIBELLA_SEED_MODE", "minimizer"),
+            ("DIBELLA_OVERLAP_ENGINE", "spgemm"),
+            ("DIBELLA_PAIR_BATCH", "33"),
+            ("DIBELLA_SPGEMM_BLOCK", "9"),
+            ("DIBELLA_SIMD", "scalar"),
+        ];
+        let names: Vec<&str> = KNOBS.iter().filter_map(|k| k.env).collect();
+        assert_eq!(names.len(), valid.len(), "every env row needs a case here");
+        let default = format!("{:?}", PipelineConfig::default());
+        for (var, value) in valid {
+            assert!(names.contains(&var), "{var} is not a table row");
+            let cfg = resolve(&[], &[(var, value)]).unwrap_or_else(|e| panic!("{e}"));
+            assert_ne!(format!("{cfg:?}"), default, "{var}={value} changed nothing");
+        }
+        let cfg = resolve(&[], &valid).unwrap();
+        assert_eq!(cfg.threads, Some(3));
+        assert_eq!(cfg.transport.to_string(), "sim:edison:4");
+        assert_eq!(cfg.max_exchange_bytes_per_round, 1 << 19);
+        assert_eq!(cfg.seed_mode, SeedMode::Minimizer);
+        assert_eq!(cfg.overlap_engine, OverlapEngine::Spgemm);
+        assert_eq!((cfg.pair_batch, cfg.spgemm_block), (33, 9));
+        assert_eq!(cfg.simd, Some(SimdMode::Scalar));
+    }
+
+    #[test]
+    fn bad_values_name_their_knob() {
+        let flags = [
+            ("k", "40", "-k"),
+            ("k", "0", "-k"),
+            ("k", "3", "-k"),
+            ("minimizer-w", "0", "--minimizer-w"),
+            ("x", "0", "-x"),
+            ("x", "-5", "-x"),
+            ("round-mb", "0.0000001", "--round-mb"),
+            ("round-mb", "0", "--round-mb"),
+            ("threads", "many", "--threads"),
+            ("policy", "two", "--policy"),
+            ("e", "1.5", "-e"),
+            ("d", "0", "-d"),
+        ];
+        for (flag, value, spelling) in flags {
+            let err = resolve(&[(flag, value)], &[]).expect_err(flag);
+            assert!(err.starts_with(&format!("{spelling} ")), "{err}");
+        }
+        let env = [
+            ("DIBELLA_ROUND_MB", "0.0000001"),
+            ("DIBELLA_SEED_MODE", "foo"),
+            ("DIBELLA_SIMD", "avx"),
+            ("DIBELLA_TRANSPORT", "tcp"),
+            ("DIBELLA_THREADS", "-1"),
+        ];
+        for (var, value) in env {
+            let err = resolve(&[], &[(var, value)]).expect_err(var);
+            assert!(err.starts_with(var), "{err}");
+        }
     }
 }

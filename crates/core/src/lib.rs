@@ -45,7 +45,7 @@ pub use checkpoint::{
     decode_table, decode_tasks, encode_table, encode_tasks, run_fingerprint, TableCheckpoint,
     TABLE_STAGE, TASKS_STAGE,
 };
-pub use config::{PipelineConfig, SeedMode};
+pub use config::{Knob, PipelineConfig, SeedMode, KNOBS};
 pub use graph::{OverlapEdge, OverlapGraph};
 pub use model::{project, rank_load, PipelineProjection, Stage};
 pub use pipeline::{

@@ -65,7 +65,7 @@ impl NodeMapping {
 pub struct RankLoad {
     /// Weighted compute nanoseconds at reference (Cori-core, in-cache)
     /// speed. Producers multiply raw op counts by the `ns-per-op`
-    /// constants in [`crate::costs`].
+    /// constants in [`crate::op_costs`].
     pub compute_ns: f64,
     /// Bytes this rank's local phase touches repeatedly (hash-table
     /// partition, Bloom partition, read buffers) — drives the cache term.

@@ -12,35 +12,40 @@
 //! # stream every stage's exchange in 1 MiB rounds (same results, bounded memory)
 //! DIBELLA_ROUND_MB=1 cargo run --release --example ecoli_pipeline
 //! ```
+//!
+//! Every pipeline knob of the environment applies (see
+//! `dibella_core::KNOBS`); `DIBELLA_SCALE` and `DIBELLA_RANKS` (default 8)
+//! belong to this example.
 
 use dibella::datagen::ecoli_30x_like;
 use dibella::prelude::*;
 
+/// A numeric setting of this example: `default` when unset; a value that
+/// is not a positive number ends the run with an `error:` line.
+fn setting<T: std::str::FromStr + PartialOrd + Default>(var: &str, default: T) -> T {
+    let Ok(v) = std::env::var(var) else { return default };
+    v.trim().parse().ok().filter(|x| *x > T::default()).unwrap_or_else(|| {
+        eprintln!("error: {var} {v:?}: expected a positive number");
+        std::process::exit(1)
+    })
+}
+
 fn main() {
-    let scale: f64 = std::env::var("DIBELLA_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
-    let ranks: usize = std::env::var("DIBELLA_RANKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let threads: usize = PipelineConfig::env_threads();
-    let transport: TransportKind = std::env::var("DIBELLA_TRANSPORT")
-        .ok()
-        .map(|v| v.parse().expect("DIBELLA_TRANSPORT"))
-        .unwrap_or_default();
-    let round_bytes: usize = std::env::var("DIBELLA_ROUND_MB")
-        .ok()
-        .map(|v| {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .expect("DIBELLA_ROUND_MB: positive MiB");
-            (mb * (1 << 20) as f64) as usize
-        })
-        .unwrap_or(usize::MAX);
+    let scale: f64 = setting("DIBELLA_SCALE", 0.01);
+    let ranks: usize = setting("DIBELLA_RANKS", 8);
+    let base = PipelineConfig {
+        k: 17,
+        depth: 30.0,
+        error_rate: 0.15,
+        max_seeds_per_pair: 8,
+        ..Default::default()
+    };
+    let base = PipelineConfig::resolve(base, &Default::default(), |var| std::env::var(var).ok())
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        });
+    let (threads, transport) = (base.effective_threads(), base.transport);
 
     println!("== E. coli 30x-like workload at scale {scale} ==");
     println!("{ranks} ranks x {threads} thread(s) per rank, transport {transport}");
@@ -57,17 +62,7 @@ fn main() {
     println!("ground truth: {} overlapping pairs (≥ 2 kb)", truth.len());
 
     for (name, policy) in SeedPolicy::paper_settings(17) {
-        let cfg = PipelineConfig {
-            k: 17,
-            depth: 30.0,
-            error_rate: 0.15,
-            seed_policy: policy,
-            max_seeds_per_pair: 8,
-            threads: Some(threads),
-            transport,
-            max_exchange_bytes_per_round: round_bytes,
-            ..Default::default()
-        };
+        let cfg = PipelineConfig { seed_policy: policy, ..base.clone() };
         let t = std::time::Instant::now();
         let result = run_pipeline(&ds.reads, ranks, &cfg);
         let wall = t.elapsed();

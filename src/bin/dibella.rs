@@ -10,7 +10,9 @@
 
 use dibella::datagen::{simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec};
 use dibella::kmer::params;
+use dibella::pipeline::KNOBS;
 use dibella::prelude::*;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -22,10 +24,10 @@ fn main() -> ExitCode {
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
+        Some(other) => Err(format!("unknown command {other:?}\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -36,42 +38,50 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "dibella — distributed long-read overlap and alignment (ICPP 2019 reproduction)
+/// Flags of `overlap` beyond the pipeline knobs of [`KNOBS`].
+const OVERLAP_FLAGS: &[&str] = &["p", "o", "gfa"];
+const SIMULATE_FLAGS: &[&str] = &["g", "d", "l", "e", "s"];
+/// `stats` reads these pipeline knobs, with the table's checks.
+const STATS_FLAGS: &[&str] = &["k", "e", "d"];
+
+fn usage() -> String {
+    let knobs: Vec<String> = KNOBS.iter().map(|k| format!("    {}", k.usage())).collect();
+    format!(
+        "dibella — distributed long-read overlap and alignment (ICPP 2019 reproduction)
 
 USAGE:
-  dibella overlap <reads.fastq> [-k K] [-p RANKS] [-t|--threads N]
-                  [--transport shared|sim:<platform>[:<ranks_per_node>]
-                              |faulty:<inner>:<seed>:<spec>]
-                  [--checkpoint-dir DIR] [--round-mb MB]
-                  [--policy one|1000|k] [-e ERR] [-d DEPTH]
-                  [--seed-mode reliable|minimizer] [--minimizer-w W]
-                  [--overlap-engine pairs|spgemm] [--pair-batch N]
-                  [--spgemm-block ROWS]
-                  [-x XDROP] [--min-score S] [--simd scalar|auto]
-                  [-o out.paf] [--gfa out.gfa]
+  dibella overlap <reads.fastq> [-p RANKS] [-o out.paf] [--gfa out.gfa] [OPTIONS]
   dibella simulate <out.fastq> [-g GENOME_BP] [-d DEPTH] [-l MEAN_LEN]
                   [-e ERR] [-s SEED]
-  dibella stats <reads.fastq> [-k K] [-e ERR] [-d DEPTH]";
+  dibella stats <reads.fastq> [-k K] [-e ERR] [-d DEPTH]
 
-/// Minimal flag parser: positional args plus `-f value` / `--flag value`.
-struct Flags {
-    positional: Vec<String>,
-    named: std::collections::HashMap<String, String>,
+OVERLAP OPTIONS (a flag beats its env variable):
+{}",
+        knobs.join("\n")
+    )
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Minimal flag parser: positional args plus `-f value` / `--flag value`,
+/// for the flag names `known` accepts.
+struct Flags {
+    positional: Vec<String>,
+    named: HashMap<String, String>,
+}
+
+fn parse_flags(args: &[String], known: &dyn Fn(&str) -> bool) -> Result<Flags, String> {
     let mut positional = Vec::new();
-    let mut named = std::collections::HashMap::new();
+    let mut named = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "-h" || a == "--help" {
-            return Err(USAGE.to_owned());
+            return Err(usage());
         }
         if let Some(name) = a.strip_prefix('-') {
             let name = name.trim_start_matches('-').to_owned();
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag -{name} expects a value"))?;
+            if !known(&name) {
+                return Err(format!("unknown flag {a} (see --help)"));
+            }
+            let value = it.next().ok_or_else(|| format!("flag {a} expects a value"))?;
             named.insert(name, value.clone());
         } else {
             positional.push(a.clone());
@@ -89,6 +99,12 @@ impl Flags {
                 .map_err(|_| format!("invalid value {v:?} for -{name}")),
         }
     }
+
+    /// The pipeline config: the table's knobs from these flags and the
+    /// process environment.
+    fn config(&self) -> Result<PipelineConfig, String> {
+        PipelineConfig::resolve(PipelineConfig::default(), &self.named, |var| std::env::var(var).ok())
+    }
 }
 
 fn load_fastq(path: &str) -> Result<ReadSet, String> {
@@ -97,7 +113,14 @@ fn load_fastq(path: &str) -> Result<ReadSet, String> {
 }
 
 fn cmd_overlap(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let is_knob = |f: &str| KNOBS.iter().any(|k| k.flags.contains(&f));
+    let flags = parse_flags(args, &|f| OVERLAP_FLAGS.contains(&f) || is_knob(f))?;
+    let cfg = flags.config()?;
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let ranks: usize = flags.get("p", cores)?;
+    if ranks == 0 {
+        return Err("-p \"0\": expected at least one rank".into());
+    }
     let path = flags
         .positional
         .first()
@@ -107,104 +130,20 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         return Err("no reads in input".into());
     }
 
-    let k: usize = flags.get("k", 17)?;
-    let ranks: usize = flags.get(
-        "p",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-    )?;
-    let error_rate: f64 = flags.get("e", 0.15)?;
-    let depth: f64 = flags.get("d", 30.0)?;
-    let xdrop: i32 = flags.get("x", 25)?;
-    let min_score: i32 = flags.get("min-score", 0)?;
-    // Intra-rank threads for all four stages (hybrid parallelism; 0 = all
-    // cores). `--align-threads` is the deprecated spelling of `--threads`.
-    let threads: usize =
-        flags.get("threads", flags.get("align-threads", flags.get("t", 1)?)?)?;
-    // Communication backend: real shared memory, a simulated network
-    // ("sim:<platform>[:<ranks_per_node>]" — virtual cori|edison|titan|aws),
-    // or either of those wrapped in the fault-injecting chaos transport
-    // ("faulty:<inner>:<seed>:<spec>" — see DIBELLA_FAULTS / ARCHITECTURE.md).
-    let transport: TransportKind = match flags.named.get("transport") {
-        None => TransportKind::SharedMem,
-        Some(v) => v.parse()?,
-    };
-    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
-    // and resume from the last completed stage on the next identical run.
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        flags.named.get("checkpoint-dir").map(Into::into);
-    // Streaming-exchange byte cap per rank and round, in MiB (fractions
-    // allowed); unset = unbounded, i.e. one monolithic exchange per stage.
-    let round_bytes: usize = match flags.named.get("round-mb") {
-        None => usize::MAX,
-        Some(v) => {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .ok_or_else(|| format!("invalid --round-mb {v:?} (positive MiB)"))?;
-            (mb * (1 << 20) as f64) as usize
-        }
-    };
-    let policy = match flags.named.get("policy").map(String::as_str) {
-        None | Some("one") => SeedPolicy::Single,
-        Some("1000") => SeedPolicy::MinDistance(1000),
-        Some("k") => SeedPolicy::MinDistance(k as u32),
-        Some(other) => return Err(format!("unknown --policy {other:?} (one|1000|k)")),
-    };
-    // Alignment-kernel implementation: unset defers to the DIBELLA_SIMD
-    // environment knob (default auto = lane-SIMD; bit-identical output).
-    let simd: Option<dibella::align::SimdMode> = match flags.named.get("simd") {
-        None => None,
-        Some(v) => Some(v.parse()?),
-    };
-    // Seed front end: the paper's two-pass reliable-k-mer counter, or the
-    // single-pass (w,k) minimizer sketch. Unset defers to DIBELLA_SEED_MODE.
-    let seed_mode: SeedMode = match flags.named.get("seed-mode") {
-        None => PipelineConfig::env_seed_mode(),
-        Some(v) => v.parse()?,
-    };
-    let minimizer_w: usize = flags.get("minimizer-w", 7)?;
-    // Overlap exchange engine: the paper's per-seed task records, or the
-    // source-deduplicating SpGEMM reformulation (bit-identical output).
-    // Unset defers to DIBELLA_OVERLAP_ENGINE.
-    let overlap_engine: OverlapEngine = match flags.named.get("overlap-engine") {
-        None => PipelineConfig::env_overlap_engine(),
-        Some(v) => v.parse()?,
-    };
-    let pair_batch: usize =
-        flags.get("pair-batch", dibella::overlap::OverlapConfig::DEFAULT_PAIR_BATCH)?;
-    let spgemm_block: usize =
-        flags.get("spgemm-block", dibella::overlap::OverlapConfig::DEFAULT_SPGEMM_BLOCK)?;
-
-    let cfg = PipelineConfig {
-        k,
-        depth,
-        error_rate,
-        seed_policy: policy,
-        xdrop,
-        min_align_score: min_score,
-        threads: Some(threads),
-        transport,
-        max_exchange_bytes_per_round: round_bytes,
-        simd,
-        seed_mode,
-        minimizer_w,
-        overlap_engine,
-        pair_batch,
-        spgemm_block,
-        checkpoint_dir,
-        ..Default::default()
-    };
+    let round_bytes = cfg.max_exchange_bytes_per_round;
     let round_cap = if round_bytes == usize::MAX {
         "unbounded".to_owned()
     } else {
         format!("{:.2} MiB", round_bytes as f64 / (1 << 20) as f64)
     };
     eprintln!(
-        "dibella: {} reads ({:.1} Mb), k={k}, m={}, seeds {seed_mode}, engine {overlap_engine}, {ranks} ranks x {} thread(s), transport {}, round cap {round_cap}",
+        "dibella: {} reads ({:.1} Mb), k={}, m={}, seeds {}, engine {}, {ranks} ranks x {} thread(s), transport {}, round cap {round_cap}",
         reads.len(),
         reads.total_bases() as f64 / 1e6,
+        cfg.k,
         cfg.multiplicity_threshold(),
+        cfg.seed_mode,
+        cfg.overlap_engine,
         cfg.effective_threads(),
         cfg.transport
     );
@@ -283,7 +222,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         let graph = dibella::pipeline::OverlapGraph::from_alignments(
             reads.len(),
             &result.alignments,
-            min_score,
+            cfg.min_align_score,
         );
         let (_, components) = graph.connected_components();
         eprintln!(
@@ -297,7 +236,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &|f| SIMULATE_FLAGS.contains(&f))?;
     let out_path = flags
         .positional
         .first()
@@ -332,12 +271,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &|f| STATS_FLAGS.contains(&f))?;
+    let cfg = flags.config()?;
+    let (k, error) = (cfg.k, cfg.error_rate);
     let path = flags.positional.first().ok_or("stats: missing <reads.fastq>")?;
     let reads = load_fastq(path)?;
-    let k: usize = flags.get("k", 17)?;
-    let error: f64 = flags.get("e", 0.15)?;
-    let depth_flag: f64 = flags.get("d", 0.0)?;
 
     let total = reads.total_bases();
     println!("reads:          {}", reads.len());
@@ -346,10 +284,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let longest = reads.iter().map(|r| r.len()).max().unwrap_or(0);
     println!("longest read:   {longest}");
     println!("k-mer bag (~):  {total}  (Eq. 2: ≈ G·d)");
-    if depth_flag > 0.0 {
-        let m = params::reliable_max_multiplicity(depth_flag, error, k, 1e-4);
-        let genome_est = total as f64 / depth_flag;
-        println!("assumed depth:  {depth_flag}");
+    if flags.named.contains_key("d") {
+        let depth = cfg.depth;
+        let m = params::reliable_max_multiplicity(depth, error, k, 1e-4);
+        let genome_est = total as f64 / depth;
+        println!("assumed depth:  {depth}");
         println!("genome (G=N/d): {:.0}", genome_est);
         println!("reliable m:     {m}  (k={k}, e={error})");
     } else {

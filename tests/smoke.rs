@@ -2,7 +2,9 @@
 //! world, designed to finish in well under 5 seconds so a broken build is
 //! caught before the heavier `end_to_end` / `model_projection` suites run.
 //!
-//! `DIBELLA_TRANSPORT` (`shared` | `sim:<platform>[:<ranks_per_node>]`)
+//! The pipeline knobs of the environment apply, resolved through the
+//! knob table like every binary's. `DIBELLA_TRANSPORT`
+//! (`shared` | `sim:<platform>[:<ranks_per_node>]`)
 //! selects the communication backend, `DIBELLA_ROUND_MB` caps the
 //! streaming-exchange rounds, and `DIBELLA_THREADS` sets the intra-rank
 //! thread count of every stage, so CI smokes the real and simulated
@@ -11,13 +13,15 @@
 //! (`reliable` | `minimizer`) selects the seed front end and
 //! `DIBELLA_OVERLAP_ENGINE` (`pairs` | `spgemm`) the overlap exchange
 //! engine, so the same smoke also covers the minimizer sketch path and
-//! the SpGEMM overlap path. A `faulty:...` transport
+//! the SpGEMM overlap path, and `DIBELLA_SIMD` (`scalar` | `auto`) the
+//! alignment kernels. A `faulty:...` transport
 //! runs the same assertions under injected faults — the hardened
 //! exchange layer must make chaos invisible to all of them — and
 //! `DIBELLA_EXPECT_FAULTS=1` additionally requires that the fault
 //! counters prove faults were actually injected and survived.
 
 use dibella::prelude::*;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Tiny deterministic dataset → 2-rank pipeline → overlaps found, reports
@@ -40,33 +44,16 @@ fn two_rank_pipeline_smoke() {
         .map(|i| Read::new(i, format!("r{i}"), genome[i as usize * 120..][..400].to_vec()))
         .collect();
 
-    let transport: TransportKind = std::env::var("DIBELLA_TRANSPORT")
-        .ok()
-        .map(|v| v.parse().expect("DIBELLA_TRANSPORT"))
-        .unwrap_or_default();
-    let round_bytes: usize = std::env::var("DIBELLA_ROUND_MB")
-        .ok()
-        .map(|v| {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .expect("DIBELLA_ROUND_MB: positive MiB");
-            (mb * (1 << 20) as f64) as usize
-        })
-        .unwrap_or(usize::MAX);
-    let cfg = PipelineConfig {
+    let base = PipelineConfig {
         k: 15,
         depth: 3.0,
         error_rate: 0.0,
         max_multiplicity: Some(16),
-        transport,
-        max_exchange_bytes_per_round: round_bytes,
-        threads: Some(PipelineConfig::env_threads()),
-        seed_mode: PipelineConfig::env_seed_mode(),
-        overlap_engine: PipelineConfig::env_overlap_engine(),
         ..Default::default()
     };
+    let cfg = PipelineConfig::resolve(base, &HashMap::new(), |var| std::env::var(var).ok())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let round_bytes = cfg.max_exchange_bytes_per_round;
     let res = run_pipeline(&reads, 2, &cfg);
 
     // Adjacent slices overlap by 280 bases — the pipeline must find pairs
