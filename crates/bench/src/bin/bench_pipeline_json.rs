@@ -41,7 +41,7 @@
 //! always recorded).
 
 use dibella_bench::{config_for, dataset, Workload};
-use dibella_core::{run_pipeline, PipelineResult, RankReport, SeedMode};
+use dibella_core::{run_pipeline, PipelineResult, RankReport, SeedMode, Stage};
 use dibella_overlap::{OverlapEngine, SeedPolicy};
 use std::time::Instant;
 
@@ -60,10 +60,10 @@ struct StageRow {
 }
 
 fn stage_rows(reports: &[RankReport]) -> Vec<StageRow> {
-    ["bloom", "hash", "overlap", "align"]
+    Stage::ALL
         .into_iter()
-        .enumerate()
-        .map(|(si, name)| {
+        .zip(["bloom", "hash", "overlap", "align"])
+        .map(|(stage, name)| {
             let mut row = StageRow {
                 name,
                 wall_s_max: 0.0,
@@ -75,12 +75,9 @@ fn stage_rows(reports: &[RankReport]) -> Vec<StageRow> {
                 peak_round_bytes_max: 0,
             };
             for r in reports {
-                let (timing, comm, rounds) = match si {
-                    0 => (r.bloom_wall, &r.bloom_comm, r.bloom.rounds),
-                    1 => (r.hash_wall, &r.hash_comm, r.hash.rounds),
-                    2 => (r.overlap_wall, &r.overlap_comm, r.overlap.rounds),
-                    _ => (r.align_wall, &r.align_comm, r.align.rounds),
-                };
+                let report = &r.stages[stage];
+                let (timing, comm) = (report.timing(), &report.comm);
+                let rounds = r.stage_rounds()[stage as usize];
                 row.wall_s_max = row.wall_s_max.max(timing.total.as_secs_f64());
                 row.exchange_s_max = row.exchange_s_max.max(timing.exchange.as_secs_f64());
                 row.pack_s_max = row.pack_s_max.max(timing.pack.as_secs_f64());
@@ -99,7 +96,7 @@ fn stage_rows(reports: &[RankReport]) -> Vec<StageRow> {
 fn seed_bytes(reports: &[RankReport]) -> u64 {
     reports
         .iter()
-        .map(|r| r.bloom_comm.total_bytes() + r.hash_comm.total_bytes())
+        .flat_map(|r| [Stage::Bloom, Stage::Hash].map(|s| r.stages[s].comm.total_bytes()))
         .sum()
 }
 

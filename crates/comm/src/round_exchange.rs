@@ -14,7 +14,8 @@
 //! 2. pipelines the rounds: while round *i* is in flight on the
 //!    transport's exchange helper, the rank thread packs round *i + 1*
 //!    (double buffering — communication/computation overlap on the real
-//!    backend, `max(pack, modeled exchange)` accounting on `SimNet`),
+//!    backend; on `SimNet` the exchange wall is the modeled network time
+//!    alone and the measured pack time is reported beside it),
 //! 3. consumes each round's received buffers in round order, so results
 //!    are bit-identical to a monolithic exchange no matter the round cap.
 //!
@@ -225,12 +226,11 @@ impl RoundExchange {
     /// pre-packing that stage's first round from data it already owns)
     /// under the final exchange instead of after it.
     ///
-    /// `tail`'s duration is declared to the transport as overlapped
-    /// compute, so `SimNet` charges `max(tail + pack, modeled exchange)`
-    /// for the final round — projections stay honest about what the
-    /// overlap can hide. It is *not* credited to `pack_wall` here: the
-    /// work belongs to the next stage, only its hiding place belongs to
-    /// this one. A stage that pre-packs its round 0 inside a
+    /// `tail`'s duration is charged to no clock here: the exchange wall
+    /// is the transport's (measured, or modeled from the byte counts
+    /// under `SimNet`), and `tail` is *not* credited to `pack_wall`
+    /// either — the work belongs to the next stage, only its hiding place
+    /// belongs to this one. A stage that pre-packs its round 0 inside a
     /// predecessor's tail must self-time that work and credit it via
     /// `Comm::add_pack_wall` when it *ships* the buffers, so the pack
     /// wall lands in the stats window of the stage that owns the bytes
@@ -260,16 +260,13 @@ impl RoundExchange {
             } else {
                 Vec::new()
             };
-            let mut overlapped = packing.elapsed();
-            comm.add_pack_wall(overlapped);
+            comm.add_pack_wall(packing.elapsed());
             if round + 1 == rounds {
                 if let Some(tail) = tail.take() {
-                    let t = Instant::now();
                     tail();
-                    overlapped += t.elapsed();
                 }
             }
-            let recv = comm.exchange_wait_overlapped(pending, overlapped);
+            let recv = comm.exchange_wait(pending);
             consume(round, recv);
         }
         rounds

@@ -22,8 +22,7 @@
 
 use crate::hub::Hub;
 use dibella_netmodel::{
-    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, overlapped_round_s,
-    Platform, PlatformId,
+    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, Platform, PlatformId,
 };
 use parking_lot::Mutex;
 use std::any::Any;
@@ -194,14 +193,11 @@ pub trait Transport: Send + Sync {
 
     /// Finish an exchange begun by [`Transport::exchange_start`]: return
     /// the buffers received from every source rank (indexed by source)
-    /// and the wall time to charge for the exchange. `overlapped` is how
-    /// long the caller spent computing while the exchange was in flight —
-    /// real backends ignore it (their measured time already ran
-    /// concurrently with that work), simulated ones charge
-    /// `max(overlapped, modeled)` so a modeled exchange can hide behind
-    /// packing but never make a round cheaper than its compute.
-    fn exchange_wait(&self, rank: usize, pending: InFlight, overlapped: Duration)
-        -> (Vec<Vec<u8>>, Duration);
+    /// and the wall time to charge for the exchange — measured on real
+    /// backends, modeled (a function of the byte counters alone) on
+    /// simulated ones. Packing done while the exchange was in flight is
+    /// not the transport's to charge: it is `CommStats::pack_wall`.
+    fn exchange_wait(&self, rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration);
 
     /// The recovery policy the communicator should harden irregular
     /// exchanges with, or `None` for a reliable medium (the default):
@@ -268,12 +264,7 @@ impl Transport for SharedMem {
         InFlight { rx }
     }
 
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        _overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
+    fn exchange_wait(&self, _rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration) {
         // The measured helper time already ran concurrently with whatever
         // the rank thread did in the gap; report it as-is.
         pending.finish()
@@ -419,22 +410,10 @@ impl Transport for SimNet {
         InFlight { rx }
     }
 
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
-        // An overlapped round costs the slower of the packing done while
-        // the exchange was in flight and the modeled exchange itself —
-        // the netmodel's single definition of an overlapped round, so the
-        // executable backend and the analytic projections agree.
-        let (recv, modeled) = pending.finish();
-        let charged = Duration::from_secs_f64(overlapped_round_s(
-            overlapped.as_secs_f64(),
-            modeled.as_secs_f64(),
-        ));
-        (recv, charged)
+    fn exchange_wait(&self, _rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration) {
+        // The helper computed the modeled network time from the round's
+        // byte counts alone; no host clock enters it.
+        pending.finish()
     }
 }
 
@@ -793,28 +772,21 @@ impl Transport for FaultyNet {
         let inner = Arc::clone(&self.inner);
         let (tx, rx) = mpsc::channel();
         // Run the whole inner exchange on our own helper so a stall can
-        // sleep without blocking the rank thread. The inner wait gets
-        // `overlapped = 0`: under chaos only payload bytes and work
-        // counters are compared bit-identically, not modeled walls.
+        // sleep without blocking the rank thread.
         rayon::spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if stall {
                     std::thread::sleep(Duration::from_millis(stall_ms));
                 }
                 let pending = inner.exchange_start(rank, send);
-                inner.exchange_wait(rank, pending, Duration::ZERO)
+                inner.exchange_wait(rank, pending)
             }));
             let _ = tx.send(result);
         });
         InFlight { rx }
     }
 
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        _overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
+    fn exchange_wait(&self, _rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration) {
         pending.finish()
     }
 
@@ -1311,9 +1283,9 @@ mod tests {
         let partner = Arc::clone(&shared);
         let t = std::thread::spawn(move || {
             let pending = partner.exchange_start(1, vec![vec![3u8], vec![4u8]]);
-            partner.exchange_wait(1, pending, Duration::ZERO)
+            partner.exchange_wait(1, pending)
         });
-        let (recv0, _) = shared.exchange_wait(0, pending, Duration::ZERO);
+        let (recv0, _) = shared.exchange_wait(0, pending);
         let (recv1, _) = t.join().unwrap();
         assert_eq!(recv0, vec![vec![1u8], vec![3u8]]);
         assert_eq!(recv1, vec![vec![2u8], vec![4u8]]);
@@ -1337,7 +1309,7 @@ mod tests {
         });
         let pending = shared.exchange_start(0, vec![Vec::new(), Vec::new()]);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shared.exchange_wait(0, pending, Duration::ZERO)
+            shared.exchange_wait(0, pending)
         }))
         .expect_err("poisoned slot must panic at wait");
         t.join().unwrap();

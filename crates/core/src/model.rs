@@ -9,7 +9,8 @@
 use crate::pipeline::RankReport;
 use dibella_netmodel::{op_costs, stage_cost, NodeMapping, Platform, RankLoad, StageCost};
 
-/// The four pipeline stages, in order.
+/// The four pipeline stages, in order; the discriminant is the stage's
+/// index into `RankReport::stages` and `PipelineProjection::stages`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Stage 1 — distributed Bloom filter.
@@ -39,42 +40,41 @@ impl Stage {
 
 /// Convert one rank's report into the model's per-stage load.
 pub fn rank_load(report: &RankReport, stage: Stage) -> RankLoad {
-    match stage {
-        Stage::Bloom => RankLoad {
-            compute_ns: report.bloom.kmers_parsed as f64 * op_costs::NS_PER_KMER_PACK
+    let (compute_ns, working_set) = match stage {
+        Stage::Bloom => (
+            report.bloom.kmers_parsed as f64 * op_costs::NS_PER_KMER_PACK
                 + report.bloom.kmers_received as f64 * op_costs::NS_PER_KMER_BLOOM,
-            working_set: report.bloom_bytes as f64 + report.table_keys as f64 * 32.0,
-            dest_bytes: report.bloom_comm.dest_bytes.clone(),
-            alltoallv_calls: report.bloom_comm.alltoallv_calls,
-        },
-        Stage::Hash => RankLoad {
-            compute_ns: report.hash.kmers_parsed as f64 * op_costs::NS_PER_KMER_PACK
+            report.bloom_bytes as f64 + report.table_keys as f64 * 32.0,
+        ),
+        Stage::Hash => (
+            report.hash.kmers_parsed as f64 * op_costs::NS_PER_KMER_PACK
                 + report.hash.kmers_received as f64 * op_costs::NS_PER_KMER_HT
                 + (report.filter.singletons_removed
                     + report.filter.high_freq_removed
                     + report.filter.retained) as f64
                     * op_costs::NS_PER_HT_SCAN,
-            working_set: report.table_bytes as f64,
-            dest_bytes: report.hash_comm.dest_bytes.clone(),
-            alltoallv_calls: report.hash_comm.alltoallv_calls,
-        },
-        Stage::Overlap => RankLoad {
-            compute_ns: report.overlap.retained_kmers as f64 * op_costs::NS_PER_RETAINED_KMER
+            report.table_bytes as f64,
+        ),
+        Stage::Overlap => (
+            report.overlap.retained_kmers as f64 * op_costs::NS_PER_RETAINED_KMER
                 + report.overlap.pairs_emitted as f64 * op_costs::NS_PER_PAIR_TASK
                 + report.overlap.tasks_received as f64 * op_costs::NS_PER_TASK_MERGE,
-            working_set: report.table_bytes as f64,
-            dest_bytes: report.overlap_comm.dest_bytes.clone(),
-            alltoallv_calls: report.overlap_comm.alltoallv_calls,
-        },
-        Stage::Align => RankLoad {
-            compute_ns: report.align.alignments as f64 * op_costs::NS_PER_ALIGNMENT
+            report.table_bytes as f64,
+        ),
+        Stage::Align => (
+            report.align.alignments as f64 * op_costs::NS_PER_ALIGNMENT
                 + report.align.dp_cells as f64 * op_costs::NS_PER_DP_CELL
                 + (report.align.read_bytes_served + report.align.read_bytes_fetched) as f64
                     * op_costs::NS_PER_READ_BYTE,
-            working_set: (report.local_bases + report.align.read_bytes_fetched) as f64,
-            dest_bytes: report.align_comm.dest_bytes.clone(),
-            alltoallv_calls: report.align_comm.alltoallv_calls,
-        },
+            (report.local_bases + report.align.read_bytes_fetched) as f64,
+        ),
+    };
+    let comm = &report.stages[stage].comm;
+    RankLoad {
+        compute_ns,
+        working_set,
+        dest_bytes: comm.dest_bytes.clone(),
+        alltoallv_calls: comm.alltoallv_calls,
     }
 }
 
@@ -88,7 +88,7 @@ pub struct PipelineProjection {
 impl PipelineProjection {
     /// Cost of one stage.
     pub fn stage(&self, s: Stage) -> &StageCost {
-        &self.stages[Stage::ALL.iter().position(|&x| x == s).unwrap()]
+        &self.stages[s as usize]
     }
 
     /// Total modeled pipeline seconds (sum of BSP stage times).
@@ -118,17 +118,11 @@ pub fn project(platform: &Platform, mapping: NodeMapping, reports: &[RankReport]
         mapping.ranks(),
         "need one report per modeled rank"
     );
-    let per_stage = |stage: Stage, first: bool| {
-        let loads: Vec<RankLoad> = reports.iter().map(|r| rank_load(r, stage)).collect();
-        stage_cost(platform, mapping, &loads, first)
-    };
     PipelineProjection {
-        stages: [
-            per_stage(Stage::Bloom, true),
-            per_stage(Stage::Hash, false),
-            per_stage(Stage::Overlap, false),
-            per_stage(Stage::Align, false),
-        ],
+        stages: Stage::ALL.map(|stage| {
+            let loads: Vec<RankLoad> = reports.iter().map(|r| rank_load(r, stage)).collect();
+            stage_cost(platform, mapping, &loads, stage == Stage::Bloom)
+        }),
     }
 }
 

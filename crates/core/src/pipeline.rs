@@ -29,6 +29,7 @@ use crate::checkpoint::{
     TABLE_STAGE, TASKS_STAGE,
 };
 use crate::config::{PipelineConfig, SeedMode};
+use crate::model::Stage;
 use crate::record::AlignmentRecord;
 use dibella_comm::{BatchedExecutor, Comm, CommStats, CommWorld};
 use dibella_io::{
@@ -39,12 +40,12 @@ use dibella_kcount::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage, FilterStats, KmerHashTable,
     KmerStageCounters,
 };
-use dibella_overlap::{
-    overlap_stage_with_lengths, OverlapCounters, OverlapOutput, OverlapTask, TaskPlacement,
-};
+use dibella_overlap::{overlap_stage_with_lengths, OverlapCounters, OverlapTask, TaskPlacement};
+use std::ops::{Index, IndexMut};
 use std::time::{Duration, Instant};
 
-/// Wall-clock split of one stage on one rank.
+/// Wall-clock split of one stage on one rank, derived from its
+/// [`StageReport`] by [`StageReport::timing`].
 ///
 /// `exchange` and `pack` measure concurrent intervals — rounds are packed
 /// *while* the previous exchange is in flight — so `exchange + pack` can
@@ -54,11 +55,10 @@ use std::time::{Duration, Instant};
 pub struct StageTiming {
     /// Total stage time on this rank.
     pub total: Duration,
-    /// Portion spent inside collectives (from `CommStats::exchange_wall`).
+    /// Portion spent inside collectives (`CommStats::exchange_wall`).
     pub exchange: Duration,
-    /// Wall time spent packing exchange rounds (from
-    /// `CommStats::pack_wall`); overlapped with `exchange` whenever a
-    /// previous round was in flight.
+    /// Wall time spent packing exchange rounds (`CommStats::pack_wall`);
+    /// overlapped with `exchange` whenever a previous round was in flight.
     pub pack: Duration,
 }
 
@@ -76,8 +76,49 @@ impl StageTiming {
     }
 }
 
+/// One stage's traffic and wall time on one rank. A stage that did not
+/// run (the Bloom pass under [`SeedMode::Minimizer`], stages skipped by a
+/// checkpoint resume) keeps its zeroed report.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StageReport {
+    /// The stage's traffic counters, including its exchange and pack
+    /// walls.
+    pub comm: CommStats,
+    /// Total stage time on this rank.
+    pub wall: Duration,
+}
+
+impl StageReport {
+    /// A zeroed report for a world of `p` ranks.
+    pub fn new(p: usize) -> Self {
+        Self { comm: CommStats::new(p), wall: Duration::ZERO }
+    }
+
+    /// The stage's wall-clock split.
+    pub fn timing(&self) -> StageTiming {
+        StageTiming {
+            total: self.wall,
+            exchange: self.comm.exchange_wall,
+            pack: self.comm.pack_wall,
+        }
+    }
+}
+
+impl Index<Stage> for [StageReport; 4] {
+    type Output = StageReport;
+    fn index(&self, s: Stage) -> &StageReport {
+        &self[s as usize]
+    }
+}
+
+impl IndexMut<Stage> for [StageReport; 4] {
+    fn index_mut(&mut self, s: Stage) -> &mut StageReport {
+        &mut self[s as usize]
+    }
+}
+
 /// Everything one rank measured while running the pipeline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankReport {
     /// Rank index.
     pub rank: usize,
@@ -87,14 +128,12 @@ pub struct RankReport {
     pub local_reads: u64,
     /// Bases owned by this rank.
     pub local_bases: u64,
+    /// Per-stage traffic and wall time, indexed by [`Stage`].
+    pub stages: [StageReport; 4],
     // ---- stage 1: Bloom filter ----
     /// Bloom-pass work counters (all-zero under
     /// [`SeedMode::Minimizer`], which skips the Bloom pass entirely).
     pub bloom: KmerStageCounters,
-    /// Bloom-pass traffic.
-    pub bloom_comm: CommStats,
-    /// Bloom-pass timing.
-    pub bloom_wall: StageTiming,
     /// Peak Bloom partition bytes.
     pub bloom_bytes: u64,
     /// Keys promoted into the hash table.
@@ -103,10 +142,6 @@ pub struct RankReport {
     /// Hash-pass work counters. Under [`SeedMode::Minimizer`] this slot
     /// holds the single minimizer-index pass instead.
     pub hash: KmerStageCounters,
-    /// Hash-pass traffic.
-    pub hash_comm: CommStats,
-    /// Hash-pass timing.
-    pub hash_wall: StageTiming,
     /// Reliable-k-mer filter outcome.
     pub filter: FilterStats,
     /// Resident bytes of the filtered table partition.
@@ -114,41 +149,37 @@ pub struct RankReport {
     // ---- stage 3: overlap ----
     /// Overlap work counters.
     pub overlap: OverlapCounters,
-    /// Overlap traffic.
-    pub overlap_comm: CommStats,
-    /// Overlap timing.
-    pub overlap_wall: StageTiming,
     // ---- stage 4: alignment ----
     /// Alignment work counters.
     pub align: AlignCounters,
-    /// Alignment traffic (read redistribution).
-    pub align_comm: CommStats,
-    /// Alignment timing.
-    pub align_wall: StageTiming,
 }
 
 impl RankReport {
     /// The four stage timings in pipeline order (Bloom, Hash, Overlap,
-    /// Align) — the single place that enumerates them, so aggregate
-    /// accessors cannot silently miss a stage when one is added.
+    /// Align).
     pub fn stage_timings(&self) -> [StageTiming; 4] {
-        [self.bloom_wall, self.hash_wall, self.overlap_wall, self.align_wall]
+        self.stages.each_ref().map(StageReport::timing)
     }
 
     /// Total pipeline wall time on this rank.
     pub fn total_wall(&self) -> Duration {
-        self.stage_timings().iter().map(|t| t.total).sum()
+        self.stages.iter().map(|s| s.wall).sum()
     }
 
     /// Total time this rank spent inside collectives, across all stages.
     pub fn total_exchange(&self) -> Duration {
-        self.stage_timings().iter().map(|t| t.exchange).sum()
+        self.stages.iter().map(|s| s.comm.exchange_wall).sum()
     }
 
-    /// The four stage traffic snapshots in pipeline order — the
-    /// counterpart of [`Self::stage_timings`] for [`CommStats`].
+    /// The four stage traffic snapshots in pipeline order.
     pub fn stage_comms(&self) -> [&CommStats; 4] {
-        [&self.bloom_comm, &self.hash_comm, &self.overlap_comm, &self.align_comm]
+        self.stages.each_ref().map(|s| &s.comm)
+    }
+
+    /// The four stages' executed exchange rounds in pipeline order, from
+    /// their work counters (each equals the stage's `alltoallv_calls`).
+    pub fn stage_rounds(&self) -> [u64; 4] {
+        [self.bloom.rounds, self.hash.rounds, self.overlap.rounds, self.align.rounds]
     }
 
     /// All four stages' traffic counters merged into one snapshot —
@@ -158,8 +189,8 @@ impl RankReport {
     /// zero unless the transport injected faults.
     pub fn total_comm(&self) -> CommStats {
         let mut merged = CommStats::new(self.ranks);
-        for stage in self.stage_comms() {
-            merged.merge(stage);
+        for stage in &self.stages {
+            merged.merge(&stage.comm);
         }
         merged
     }
@@ -248,6 +279,14 @@ pub fn pipeline_rank(
     let resumed_front_end = resume_tasks.is_some() || resume_table.is_some();
 
     comm.take_stats(); // reset counters; setup traffic is not charged to a stage
+    let mut report = RankReport {
+        rank,
+        ranks: comm.size(),
+        local_reads,
+        local_bases,
+        stages: std::array::from_fn(|_| StageReport::new(comm.size())),
+        ..Default::default()
+    };
 
     // ---- stages 1 + 2: seed-source front end ------------------------------
     // Reliable mode runs the paper's two passes (Bloom, then hash, with
@@ -255,122 +294,67 @@ pub fn pipeline_rank(
     // one sketch pass that fills the stage-2 slot of the report; the
     // stage-1 slot stays zeroed — no Bloom pass runs, nothing is timed
     // or exchanged there.
-    #[allow(clippy::type_complexity)]
-    let (table, bloom_counters, bloom_comm, bloom_wall, bloom_bytes, table_keys, hash_counters, hash_comm, hash_wall, filter) =
-        if resume_tasks.is_some() {
-            // Stages 1–3 are skipped wholesale; their report slots stay
-            // zeroed, like the Bloom slot under minimizer mode. The table
-            // is not rebuilt — stage 4 only needs the task list.
-            (
-                KmerHashTable::default(),
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                0,
-                0,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                FilterStats::default(),
-            )
-        } else if let Some(restored) = resume_table {
-            // Resume from the post-stage-2 snapshot: stages 1–2 are
-            // skipped; the filter statistics and pre-filter key count are
-            // restored so those report fields survive the restart. The
-            // work/traffic/timing slots of the skipped passes stay zeroed.
-            (
-                restored.table,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                0,
-                restored.table_keys,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                restored.filter,
-            )
-        } else { match cfg.seed_mode {
+    let table = if resume_tasks.is_some() {
+        // Stages 1–3 are skipped wholesale; their report slots stay
+        // zeroed, like the Bloom slot under minimizer mode. The table is
+        // not rebuilt — stage 4 only needs the task list.
+        KmerHashTable::default()
+    } else if let Some(restored) = resume_table {
+        // Resume from the post-stage-2 snapshot: stages 1–2 are skipped;
+        // the filter statistics and pre-filter key count are restored so
+        // those report fields survive the restart. The work, traffic and
+        // timing slots of the skipped passes stay zeroed.
+        report.table_keys = restored.table_keys;
+        report.filter = restored.filter;
+        restored.table
+    } else {
+        match cfg.seed_mode {
             SeedMode::Reliable => {
                 // Cross-stage overlap: the hash pass's first round is
                 // packed while the Bloom pass's last exchange is still in
                 // flight (the pre-pack reads only local data, which
                 // nothing in flight can change).
-                let t = Instant::now();
-                let (bloom_out, prepacked) = bloom_stage_overlapping(comm, &local, &kc, &exec);
-                let bloom_comm = comm.take_stats();
-                let bloom_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: bloom_comm.exchange_wall,
-                    pack: bloom_comm.pack_wall,
-                };
+                let bloom_slot = &mut report.stages[Stage::Bloom];
+                let (bloom_out, prepacked) = timed_stage(comm, bloom_slot, || {
+                    bloom_stage_overlapping(comm, &local, &kc, &exec)
+                });
                 let mut table = bloom_out.table;
-                let table_keys = table.len() as u64;
-
-                let t = Instant::now();
-                let hash_out =
-                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(prepacked));
-                let hash_comm = comm.take_stats();
-                let hash_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: hash_comm.exchange_wall,
-                    pack: hash_comm.pack_wall,
-                };
-                (
-                    table,
-                    bloom_out.counters,
-                    bloom_comm,
-                    bloom_wall,
-                    bloom_out.bloom_bytes as u64,
-                    table_keys,
-                    hash_out.counters,
-                    hash_comm,
-                    hash_wall,
-                    hash_out.filter,
-                )
+                report.bloom = bloom_out.counters;
+                report.bloom_bytes = bloom_out.bloom_bytes as u64;
+                report.table_keys = table.len() as u64;
+                let hash_out = timed_stage(comm, &mut report.stages[Stage::Hash], || {
+                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(prepacked))
+                });
+                report.hash = hash_out.counters;
+                report.filter = hash_out.filter;
+                table
             }
             SeedMode::Minimizer => {
-                let t = Instant::now();
-                let mo = minimizer_stage(comm, &local, cfg.minimizer_w, &kc, &exec);
-                let hash_comm = comm.take_stats();
-                let hash_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: hash_comm.exchange_wall,
-                    pack: hash_comm.pack_wall,
-                };
-                let table_keys = mo.counters.promoted_keys;
-                (
-                    mo.table,
-                    KmerStageCounters::default(),
-                    CommStats::new(comm.size()),
-                    StageTiming::default(),
-                    0,
-                    table_keys,
-                    mo.counters,
-                    hash_comm,
-                    hash_wall,
-                    mo.filter,
-                )
+                let mo = timed_stage(comm, &mut report.stages[Stage::Hash], || {
+                    minimizer_stage(comm, &local, cfg.minimizer_w, &kc, &exec)
+                });
+                report.table_keys = mo.counters.promoted_keys;
+                report.hash = mo.counters;
+                report.filter = mo.filter;
+                mo.table
             }
-        } };
-    let table_bytes = table.memory_bytes();
+        }
+    };
+    report.table_bytes = table.memory_bytes();
     if let Some(store) = checkpoint.as_ref().filter(|_| !resumed_front_end) {
         // Persist the stage-2 output (outside the stage's timing window;
         // checkpoint I/O is not pipeline work).
-        save_stage(store, TABLE_STAGE, rank, &encode_table(&table, table_keys, &filter));
+        let payload = encode_table(&table, report.table_keys, &report.filter);
+        save_stage(store, TABLE_STAGE, rank, &payload);
     }
 
     // ---- stage 3: overlap ---------------------------------------------------
-    let (overlap_out, overlap_comm, overlap_wall) = match resume_tasks {
+    let tasks = match resume_tasks {
         // Stage 3 skipped: tasks come from the snapshot; the work,
         // traffic, and timing slots stay zeroed like the other skipped
         // stages'. (The skip is safe precisely because it is unanimous —
         // no rank enters the stage's collectives.)
-        Some(tasks) => (
-            OverlapOutput { tasks, counters: OverlapCounters::default() },
-            CommStats::new(comm.size()),
-            StageTiming::default(),
-        ),
+        Some(tasks) => tasks,
         None => {
             // Length-aware placement needs every read's length; one dense
             // allgather of u32s (id order equals rank-concatenation order).
@@ -378,65 +362,42 @@ pub fn pipeline_rank(
                 let local_lens: Vec<u32> = local.iter().map(|r| r.len() as u32).collect();
                 comm.allgather(local_lens).into_iter().flatten().collect()
             });
-            let t = Instant::now();
-            let out =
-                overlap_stage_with_lengths(comm, &table, part, &oc, lengths.as_deref(), &exec);
-            let overlap_comm = comm.take_stats();
-            let overlap_wall = StageTiming {
-                total: t.elapsed(),
-                exchange: overlap_comm.exchange_wall,
-                pack: overlap_comm.pack_wall,
-            };
+            let out = timed_stage(comm, &mut report.stages[Stage::Overlap], || {
+                overlap_stage_with_lengths(comm, &table, part, &oc, lengths.as_deref(), &exec)
+            });
             if let Some(store) = &checkpoint {
                 save_stage(store, TASKS_STAGE, rank, &encode_tasks(&out.tasks));
             }
-            (out, overlap_comm, overlap_wall)
+            report.overlap = out.counters;
+            out.tasks
         }
     };
     drop(table); // the hash table is no longer needed once tasks exist
 
     // ---- stage 4: read redistribution + alignment ---------------------------
-    let t = Instant::now();
-    let mut align_counters = AlignCounters::default();
-    let mut store = ReadStore::new(rank, part.clone(), local);
-    fetch_remote_reads(
-        comm,
-        &mut store,
-        &overlap_out.tasks,
-        cfg.max_exchange_bytes_per_round,
-        &mut align_counters,
-    );
-    let alignments = align_tasks(&store, &overlap_out.tasks, cfg, &mut align_counters, &exec);
-    let align_comm = comm.take_stats();
-    let align_wall = StageTiming {
-        total: t.elapsed(),
-        exchange: align_comm.exchange_wall,
-        pack: align_comm.pack_wall,
-    };
-
-    let report = RankReport {
-        rank,
-        ranks: comm.size(),
-        local_reads,
-        local_bases,
-        bloom: bloom_counters,
-        bloom_comm,
-        bloom_wall,
-        bloom_bytes,
-        table_keys,
-        hash: hash_counters,
-        hash_comm,
-        hash_wall,
-        filter,
-        table_bytes,
-        overlap: overlap_out.counters,
-        overlap_comm,
-        overlap_wall,
-        align: align_counters,
-        align_comm,
-        align_wall,
-    };
+    let alignments = timed_stage(comm, &mut report.stages[Stage::Align], || {
+        let mut store = ReadStore::new(rank, part.clone(), local);
+        fetch_remote_reads(
+            comm,
+            &mut store,
+            &tasks,
+            cfg.max_exchange_bytes_per_round,
+            &mut report.align,
+        );
+        align_tasks(&store, &tasks, cfg, &mut report.align, &exec)
+    });
     (alignments, report)
+}
+
+/// Run one stage in its own window: time `body`, then close the window by
+/// taking the stage's traffic snapshot and *then* reading the stage clock,
+/// so the stage wall covers everything its counters do.
+fn timed_stage<T>(comm: &Comm, slot: &mut StageReport, body: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = body();
+    let comm_stats = comm.take_stats();
+    *slot = StageReport { comm: comm_stats, wall: t.elapsed() };
+    out
 }
 
 /// Load and decode one stage snapshot, degrading *every* failure — a
@@ -618,8 +579,8 @@ mod tests {
         let h: u64 = res.reports.iter().map(|r| r.hash.kmers_parsed).sum();
         assert_eq!(b, h);
         // Hash pass moves 2.5x the bytes of the bloom pass.
-        let bb: u64 = res.reports.iter().map(|r| r.bloom_comm.total_bytes()).sum();
-        let hb: u64 = res.reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
+        let bb: u64 = res.reports.iter().map(|r| r.stages[Stage::Bloom].comm.total_bytes()).sum();
+        let hb: u64 = res.reports.iter().map(|r| r.stages[Stage::Hash].comm.total_bytes()).sum();
         assert_eq!(hb, bb * 20 / 8, "wire ratio should be exactly 2.5x");
         // Alignments computed equal the accepted ones here (threshold 0).
         let computed: u64 = res.reports.iter().map(|r| r.align.alignments).sum();
@@ -634,13 +595,10 @@ mod tests {
             assert!(r.hash.rounds >= 1);
             assert!(r.overlap.rounds >= 1);
             assert!(r.align.rounds >= 2, "ID requests + sequence replies");
-            assert_eq!(r.bloom_comm.alltoallv_calls, r.bloom.rounds);
-            assert_eq!(r.hash_comm.alltoallv_calls, r.hash.rounds);
-            assert_eq!(r.overlap_comm.alltoallv_calls, r.overlap.rounds);
-            assert_eq!(r.align_comm.alltoallv_calls, r.align.rounds);
-            // The round-peak high-water mark never exceeds a stage's total
-            // send volume.
-            for comm in [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm] {
+            for (comm, rounds) in r.stage_comms().into_iter().zip(r.stage_rounds()) {
+                assert_eq!(comm.alltoallv_calls, rounds);
+                // The round-peak high-water mark never exceeds a stage's
+                // total send volume.
                 assert!(comm.peak_round_bytes <= comm.total_bytes());
             }
         }
@@ -657,7 +615,7 @@ mod tests {
             assert_eq!(r.total_wall(), sum);
             let exch: Duration = timings.iter().map(|t| t.exchange).sum();
             assert_eq!(r.total_exchange(), exch);
-            assert!(r.total_wall() >= r.bloom_wall.total + r.align_wall.total);
+            assert!(r.total_wall() >= r.stages[Stage::Bloom].wall + r.stages[Stage::Align].wall);
             // Pack walls are recorded per stage; with data flowing, some
             // stage must have packed something, and the derived compute
             // split never exceeds the stage total.
@@ -704,20 +662,20 @@ mod tests {
         for r in &res.reports {
             // The Bloom pass is skipped: its report slot is all-zero.
             assert_eq!(r.bloom, dibella_kcount::KmerStageCounters::default());
-            assert_eq!(r.bloom_comm.total_bytes(), 0);
+            assert_eq!(r.stages[Stage::Bloom].comm.total_bytes(), 0);
             assert_eq!(r.bloom_bytes, 0);
             assert!(r.hash.rounds >= 1);
-            assert_eq!(r.hash_comm.alltoallv_calls, r.hash.rounds);
+            assert_eq!(r.stages[Stage::Hash].comm.alltoallv_calls, r.hash.rounds);
         }
         // The sketch samples a subset of windows, so it must ship strictly
         // fewer seed-stage bytes than the two-pass reliable front end.
         let reliable = run_pipeline(&reads, 3, &small_cfg());
-        let sketch_bytes: u64 = res.reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
-        let two_pass_bytes: u64 = reliable
-            .reports
-            .iter()
-            .map(|r| r.bloom_comm.total_bytes() + r.hash_comm.total_bytes())
-            .sum();
+        let seed_bytes = |res: &PipelineResult| -> u64 {
+            let stages = [Stage::Bloom, Stage::Hash];
+            res.reports.iter().flat_map(|r| stages.map(|s| r.stages[s].comm.total_bytes())).sum()
+        };
+        let sketch_bytes = seed_bytes(&res);
+        let two_pass_bytes = seed_bytes(&reliable);
         assert!(
             sketch_bytes * 2 < two_pass_bytes,
             "sketch {sketch_bytes} B vs reliable {two_pass_bytes} B"
@@ -755,9 +713,9 @@ mod tests {
         let resumed = run_pipeline(&reads, p, &cfg);
         assert_eq!(resumed.alignments, first.alignments);
         for r in &resumed.reports {
-            assert_eq!(r.bloom_comm.total_bytes(), 0);
-            assert_eq!(r.hash_comm.total_bytes(), 0);
-            assert_eq!(r.overlap_comm.total_bytes(), 0);
+            for s in [Stage::Bloom, Stage::Hash, Stage::Overlap] {
+                assert_eq!(r.stages[s].comm.total_bytes(), 0);
+            }
             assert_eq!(r.overlap.rounds, 0, "overlap stage must not have run");
             assert!(r.align.rounds >= 2, "alignment stage always runs");
         }
@@ -770,9 +728,10 @@ mod tests {
         let from_table = run_pipeline(&reads, p, &cfg);
         assert_eq!(from_table.alignments, first.alignments);
         for (r, fresh) in from_table.reports.iter().zip(&first.reports) {
-            assert_eq!(r.bloom_comm.total_bytes(), 0, "bloom pass must be skipped");
+            assert_eq!(r.stages[Stage::Bloom].comm.total_bytes(), 0, "bloom pass must be skipped");
             assert_eq!(r.overlap.rounds, fresh.overlap.rounds);
-            assert_eq!(r.overlap_comm.total_bytes(), fresh.overlap_comm.total_bytes());
+            let overlap_bytes = |r: &RankReport| r.stages[Stage::Overlap].comm.total_bytes();
+            assert_eq!(overlap_bytes(r), overlap_bytes(fresh));
             assert_eq!(r.filter, fresh.filter, "filter stats restored from the snapshot");
             assert_eq!(r.table_keys, fresh.table_keys);
         }

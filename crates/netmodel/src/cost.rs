@@ -160,48 +160,6 @@ pub fn first_alltoallv_setup_s(platform: &Platform, ranks: usize, base_call_s: f
         + platform.first_alltoallv_factor * base_call_s
 }
 
-/// Wall time of one streaming-exchange round when the packing of the next
-/// round overlaps the in-flight exchange (double buffering): the slower of
-/// the two hides the faster. This is the netmodel's *single* definition of
-/// an overlapped round — the executable `SimNet` transport charges it per
-/// round, and [`pipelined_rounds_s`] composes it into a whole-stage cost —
-/// so simulated runs and analytic projections cannot drift apart.
-pub fn overlapped_round_s(pack_s: f64, exchange_s: f64) -> f64 {
-    pack_s.max(exchange_s)
-}
-
-/// Total wall of an `R`-round streaming exchange with double buffering:
-/// round 0 is packed up front, then every round's exchange overlaps the
-/// packing of its successor —
-///
-/// ```text
-/// T = pack[0] + Σ_i max(exchange[i], pack[i+1])      (pack[R] ≡ 0)
-/// ```
-///
-/// With one round this degenerates to `pack[0] + exchange[0]` (nothing to
-/// overlap), and a perfectly balanced pipeline approaches
-/// `max(Σ pack, Σ exchange)` — the upside the streaming engine buys.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn pipelined_rounds_s(pack_s: &[f64], exchange_s: &[f64]) -> f64 {
-    assert_eq!(
-        pack_s.len(),
-        exchange_s.len(),
-        "need one pack and one exchange time per round"
-    );
-    let rounds = pack_s.len();
-    if rounds == 0 {
-        return 0.0;
-    }
-    let mut total = pack_s[0];
-    for (i, &ex) in exchange_s.iter().enumerate() {
-        let next_pack = if i + 1 < rounds { pack_s[i + 1] } else { 0.0 };
-        total += overlapped_round_s(next_pack, ex);
-    }
-    total
-}
-
 /// Model one stage.
 ///
 /// `loads.len()` must equal `mapping.ranks()`. `first_exchange` charges the
@@ -386,41 +344,6 @@ mod tests {
         for &e in &cost.exchange_s {
             assert!((e - expect).abs() < 1e-15, "{e} vs {expect}");
         }
-    }
-
-    #[test]
-    fn overlapped_round_takes_the_slower_side() {
-        assert_eq!(overlapped_round_s(1.0, 3.0), 3.0);
-        assert_eq!(overlapped_round_s(3.0, 1.0), 3.0);
-        assert_eq!(overlapped_round_s(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn pipelined_rounds_closed_form() {
-        assert_eq!(pipelined_rounds_s(&[], &[]), 0.0);
-        // One round: nothing overlaps.
-        assert_eq!(pipelined_rounds_s(&[2.0], &[5.0]), 7.0);
-        // Three balanced rounds: pack(0) + 3 × round (exchange hides the
-        // packing of the successor exactly).
-        let t = pipelined_rounds_s(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]);
-        assert!((t - 4.0).abs() < 1e-12, "{t}");
-        // Exchange-bound pipeline: packing fully hidden after round 0.
-        let t = pipelined_rounds_s(&[1.0, 1.0, 1.0], &[4.0, 4.0, 4.0]);
-        assert!((t - 13.0).abs() < 1e-12, "{t}");
-        // Pipelining never beats the exchange total, never exceeds the
-        // unoverlapped sum.
-        let pack = [0.5, 2.0, 0.25, 1.0];
-        let exch = [1.5, 0.75, 3.0, 0.5];
-        let t = pipelined_rounds_s(&pack, &exch);
-        let serial: f64 = pack.iter().chain(&exch).sum();
-        let floor = exch.iter().sum::<f64>().max(pack.iter().sum());
-        assert!(t >= floor && t <= serial, "{floor} <= {t} <= {serial}");
-    }
-
-    #[test]
-    #[should_panic(expected = "one pack and one exchange time per round")]
-    fn pipelined_rounds_rejects_mismatched_lengths() {
-        let _ = pipelined_rounds_s(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -79,12 +79,7 @@ fn main() {
         let bytes: u64 = result
             .reports
             .iter()
-            .map(|r| {
-                r.bloom_comm.total_bytes()
-                    + r.hash_comm.total_bytes()
-                    + r.overlap_comm.total_bytes()
-                    + r.align_comm.total_bytes()
-            })
+            .map(|r| r.total_comm().total_bytes())
             .sum();
         let iota = retained as f64 / (retained + singles + highf).max(1) as f64;
 

@@ -79,9 +79,13 @@ fn main() {
     // 6. Per-stage timing summary from rank 0's report.
     let r0 = &result.reports[0];
     println!("\nrank 0 stage walls:");
-    println!("  bloom   {:>9.2?} ({} k-mers owned)", r0.bloom_wall.total, r0.bloom.kmers_received);
-    println!("  hash    {:>9.2?} ({} retained k-mers)", r0.hash_wall.total, r0.filter.retained);
-    println!("  overlap {:>9.2?} ({} pairs emitted)", r0.overlap_wall.total, r0.overlap.pairs_emitted);
-    println!("  align   {:>9.2?} ({} alignments, {} DP cells)",
-        r0.align_wall.total, r0.align.alignments, r0.align.dp_cells);
+    let work = [
+        format!("{} k-mers owned", r0.bloom.kmers_received),
+        format!("{} retained k-mers", r0.filter.retained),
+        format!("{} pairs emitted", r0.overlap.pairs_emitted),
+        format!("{} alignments, {} DP cells", r0.align.alignments, r0.align.dp_cells),
+    ];
+    for (stage, work) in Stage::ALL.into_iter().zip(work) {
+        println!("  {:<12} {:>9.2?} ({work})", stage.name(), r0.stages[stage].wall);
+    }
 }

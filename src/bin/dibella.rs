@@ -8,6 +8,7 @@
 //!
 //! Run `dibella <command> --help` for the options of each command.
 
+use dibella::comm::{FaultyConfig, FaultyInner};
 use dibella::datagen::{simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec};
 use dibella::kmer::params;
 use dibella::pipeline::KNOBS;
@@ -116,6 +117,12 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
     let is_knob = |f: &str| KNOBS.iter().any(|k| k.flags.contains(&f));
     let flags = parse_flags(args, &|f| OVERLAP_FLAGS.contains(&f) || is_knob(f))?;
     let cfg = flags.config()?;
+    if let Some(dir) = &cfg.checkpoint_dir {
+        // Fail here, not as a panic inside the ranks' checkpoint store.
+        std::fs::create_dir_all(dir).map_err(|e| {
+            format!("--checkpoint-dir {}: cannot create directory: {e}", dir.display())
+        })?;
+    }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let ranks: usize = flags.get("p", cores)?;
     if ranks == 0 {
@@ -161,10 +168,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         let peak = result
             .reports
             .iter()
-            .flat_map(|r| {
-                [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm]
-                    .map(|c| c.peak_round_bytes)
-            })
+            .flat_map(|r| r.stage_comms().map(|c| c.peak_round_bytes))
             .max()
             .unwrap_or(0);
         eprintln!(
@@ -188,7 +192,11 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
             all.retry_wall
         );
     }
-    if cfg.transport != TransportKind::SharedMem {
+    if matches!(
+        cfg.transport,
+        TransportKind::SimNet(_)
+            | TransportKind::Faulty(FaultyConfig { inner: FaultyInner::SimNet(_), .. })
+    ) {
         // Under a simulated network the recorded exchange time is the
         // modeled platform's, not the host's — surface it.
         let slowest = result

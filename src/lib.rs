@@ -67,7 +67,7 @@ pub mod prelude {
     pub use dibella_comm::{CommWorld, SimNetConfig, TransportKind};
     pub use dibella_core::{
         run_pipeline, run_pipeline_fastq, AlignmentRecord, PipelineConfig, PipelineResult,
-        SeedMode,
+        SeedMode, Stage,
     };
     pub use dibella_io::{Read, ReadId, ReadSet};
     pub use dibella_netmodel::{NodeMapping, Platform, PlatformId};

@@ -1,6 +1,7 @@
 //! The `dibella` binary's configuration edge: bad flags and bad knob
 //! values end the run with exit status 1 and an `error:` line naming the
-//! flag or variable, never a panic (exit status 101).
+//! flag or variable, never a panic (exit status 101). The run summary
+//! calls exchange time "modeled" only when a simulated network made it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -83,4 +84,41 @@ fn flags_and_env_knobs_reach_the_run() {
         !String::from_utf8_lossy(&out.stdout).is_empty(),
         "no PAF records"
     );
+}
+
+#[test]
+fn checkpoint_dir_that_is_a_file_exits_1() {
+    let file = std::env::temp_dir().join(format!("dibella-cli-{}-ckpt-file", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let out = overlap(&["-p", "2", "--checkpoint-dir", file.to_str().unwrap()], &[], "ckpt");
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error: ") && l.contains("--checkpoint-dir")),
+        "no error line naming --checkpoint-dir: {stderr}"
+    );
+}
+
+#[test]
+fn modeled_exchange_is_reported_only_on_simulated_networks() {
+    // (transport, whether its exchange time is modeled rather than measured)
+    let cases = [
+        ("shared", false),
+        ("faulty:shared", false),
+        ("sim:cori:2", true),
+        ("faulty:sim:cori:2", true),
+    ];
+    for (transport, modeled) in cases {
+        let out = overlap(&["-p", "2", "--transport", transport], &[], transport);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{transport}: {stderr}");
+        assert_eq!(
+            stderr.contains("modeled exchange on"),
+            modeled,
+            "{transport}: {stderr}"
+        );
+    }
 }

@@ -81,8 +81,8 @@ fn first_alltoallv_anomaly_reproduced() {
     let mapping = NodeMapping::for_platform(&CORI, 1);
     let reports = reports_for(mapping.ranks());
     // Sanity: the hash stage really moves 2.5x the bytes.
-    let bb: u64 = reports.iter().map(|r| r.bloom_comm.total_bytes()).sum();
-    let hb: u64 = reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
+    let bytes = |s: Stage| -> u64 { reports.iter().map(|r| r.stages[s].comm.total_bytes()).sum() };
+    let (bb, hb) = (bytes(Stage::Bloom), bytes(Stage::Hash));
     assert_eq!(hb, bb * 20 / 8);
     let proj = project(&CORI, mapping, &reports);
     assert!(

@@ -103,8 +103,9 @@ fn spgemm_matches_pairs_across_the_sweep() {
                         "logical counters diverge at {at}"
                     );
                     for r in &spgemm_res.reports {
+                        let traffic = &r.stages[Stage::Overlap].comm;
                         assert_eq!(
-                            r.overlap_comm.alltoallv_calls, r.overlap.rounds,
+                            traffic.alltoallv_calls, r.overlap.rounds,
                             "rounds accounting at {at}"
                         );
                         let c = r.overlap;
@@ -118,9 +119,9 @@ fn spgemm_matches_pairs_across_the_sweep() {
                             // record of slack at most (this workload's
                             // records stay well under 2 KiB).
                             assert!(
-                                r.overlap_comm.peak_round_bytes <= cap as u64 + 2048,
+                                traffic.peak_round_bytes <= cap as u64 + 2048,
                                 "peak {} over cap at {at}",
-                                r.overlap_comm.peak_round_bytes
+                                traffic.peak_round_bytes
                             );
                         }
                     }
@@ -186,7 +187,7 @@ fn spgemm_cuts_overlap_bytes_on_the_sample_workload() {
     assert_eq!(pairs_res.alignments, spgemm_res.alignments);
 
     let overlap_bytes = |res: &dibella::pipeline::PipelineResult| -> u64 {
-        res.reports.iter().map(|r| r.overlap_comm.total_bytes()).sum()
+        res.reports.iter().map(|r| r.stages[Stage::Overlap].comm.total_bytes()).sum()
     };
     let (pb, sb) = (overlap_bytes(&pairs_res), overlap_bytes(&spgemm_res));
     let emitted: u64 = spgemm_res.reports.iter().map(|r| r.overlap.pairs_emitted).sum();

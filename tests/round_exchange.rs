@@ -51,10 +51,6 @@ const TINY_CAP: usize = 256;
 /// header + full read).
 const MAX_RECORD: u64 = 8 + READ_LEN as u64;
 
-fn stage_comms(r: &dibella::pipeline::RankReport) -> [&dibella::comm::CommStats; 4] {
-    [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm]
-}
-
 #[test]
 fn round_cap_sweep_is_bit_identical() {
     let reads = dataset(16, READ_LEN, 40, 13);
@@ -80,7 +76,7 @@ fn round_cap_sweep_is_bit_identical() {
                 );
                 for (got, want) in res.reports.iter().zip(&reference.reports) {
                     for (si, (cg, cw)) in
-                        stage_comms(got).iter().zip(stage_comms(want)).enumerate()
+                        got.stage_comms().iter().zip(want.stage_comms()).enumerate()
                     {
                         // Per-destination byte totals are independent of
                         // the round split and of the transport.
@@ -104,7 +100,7 @@ fn round_cap_sweep_is_bit_identical() {
                     // profile — messages and call counts included — matches
                     // the reference exactly.
                     if cap == usize::MAX {
-                        for (cg, cw) in stage_comms(got).iter().zip(stage_comms(want)) {
+                        for (cg, cw) in got.stage_comms().iter().zip(want.stage_comms()) {
                             assert_eq!(cg.dest_msgs, cw.dest_msgs);
                             assert_eq!(cg.alltoallv_calls, cw.alltoallv_calls);
                             assert_eq!(cg.peak_round_bytes, cw.peak_round_bytes);

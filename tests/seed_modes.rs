@@ -23,7 +23,7 @@ fn found_pairs(res: &dibella::pipeline::PipelineResult) -> BTreeSet<(ReadId, Rea
 fn seed_bytes(res: &dibella::pipeline::PipelineResult) -> u64 {
     res.reports
         .iter()
-        .map(|r| r.bloom_comm.total_bytes() + r.hash_comm.total_bytes())
+        .flat_map(|r| [Stage::Bloom, Stage::Hash].map(|s| r.stages[s].comm.total_bytes()))
         .sum()
 }
 
@@ -128,8 +128,8 @@ fn minimizer_mode_bit_identical_across_threads_transports_and_caps() {
                     assert_eq!(par.overlap, seq.overlap, "rank {rank} overlap counters, {at}");
                     assert_eq!(par.align, seq.align, "rank {rank} align counters, {at}");
                     assert_eq!(
-                        par.hash_comm.total_bytes(),
-                        seq.hash_comm.total_bytes(),
+                        par.stages[Stage::Hash].comm.total_bytes(),
+                        seq.stages[Stage::Hash].comm.total_bytes(),
                         "rank {rank} sketch bytes, {at}"
                     );
                 }

@@ -66,12 +66,9 @@ fn two_rank_pipeline_smoke() {
     // irregular-collective count equals its executed rounds, and no round
     // exceeded the configured byte cap by more than one record.
     for r in &res.reports {
-        assert_eq!(r.bloom_comm.alltoallv_calls, r.bloom.rounds);
-        assert_eq!(r.hash_comm.alltoallv_calls, r.hash.rounds);
-        assert_eq!(r.overlap_comm.alltoallv_calls, r.overlap.rounds);
-        assert_eq!(r.align_comm.alltoallv_calls, r.align.rounds);
-        if round_bytes != usize::MAX {
-            for c in [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm] {
+        for (c, rounds) in r.stage_comms().into_iter().zip(r.stage_rounds()) {
+            assert_eq!(c.alltoallv_calls, rounds);
+            if round_bytes != usize::MAX {
                 assert!(c.peak_round_bytes <= round_bytes as u64 + 8 + 400);
             }
         }

@@ -74,20 +74,17 @@ fn all_stages_bit_identical_across_threads() {
                     assert_eq!(par.filter, seq.filter, "rank {rank} filter stats, {at}");
                     assert_eq!(par.overlap, seq.overlap, "rank {rank} overlap counters, {at}");
                     assert_eq!(par.align, seq.align, "rank {rank} align counters, {at}");
-                    for (p, s, stage) in [
-                        (&par.bloom_comm, &seq.bloom_comm, "bloom"),
-                        (&par.hash_comm, &seq.hash_comm, "hash"),
-                        (&par.overlap_comm, &seq.overlap_comm, "overlap"),
-                        (&par.align_comm, &seq.align_comm, "align"),
-                    ] {
+                    for stage in Stage::ALL {
+                        let (p, s) = (&par.stages[stage].comm, &seq.stages[stage].comm);
+                        let name = stage.name();
                         assert_eq!(
                             p.total_bytes(),
                             s.total_bytes(),
-                            "rank {rank} {stage} bytes, {at}"
+                            "rank {rank} {name} bytes, {at}"
                         );
                         assert_eq!(
                             p.alltoallv_calls, s.alltoallv_calls,
-                            "rank {rank} {stage} rounds, {at}"
+                            "rank {rank} {name} rounds, {at}"
                         );
                     }
                 }

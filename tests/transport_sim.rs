@@ -5,7 +5,7 @@
 //! Figure 3–13 model validatable against an executed run.
 
 use dibella::netmodel::{collective_latency_s, NodeMapping, CORI};
-use dibella::pipeline::{project, RankReport, Stage};
+use dibella::pipeline::{project, Stage};
 use dibella::prelude::*;
 
 /// Overlapping reads off one deterministic pseudo-random genome.
@@ -44,11 +44,6 @@ fn sim(platform: PlatformId, ranks_per_node: usize) -> TransportKind {
     TransportKind::SimNet(SimNetConfig { platform, ranks_per_node })
 }
 
-/// Per-stage traffic of one rank, in pipeline order.
-fn stage_comms(r: &RankReport) -> [&dibella::comm::CommStats; 4] {
-    [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm]
-}
-
 /// The headline invariant: `SimNet` changes timing, never payloads.
 /// Alignments and every traffic counter are byte-identical to `SharedMem`
 /// at every world size.
@@ -63,7 +58,7 @@ fn simnet_results_byte_identical_to_sharedmem() {
             "P={p}: SimNet must not change alignments"
         );
         for (a, b) in real.reports.iter().zip(&simulated.reports) {
-            for (ca, cb) in stage_comms(a).iter().zip(stage_comms(b)) {
+            for (ca, cb) in a.stage_comms().iter().zip(b.stage_comms()) {
                 assert_eq!(ca.dest_bytes, cb.dest_bytes, "P={p} rank {}", a.rank);
                 assert_eq!(ca.dest_msgs, cb.dest_msgs);
                 assert_eq!(ca.alltoallv_calls, cb.alltoallv_calls);
@@ -82,7 +77,7 @@ fn ethernet_exchange_strictly_slower_than_aries() {
     let aries = run_pipeline(&reads, 4, &cfg(sim(PlatformId::CoriXC40, 2)));
     let ethernet = run_pipeline(&reads, 4, &cfg(sim(PlatformId::Aws, 2)));
     for (c, a) in aries.reports.iter().zip(&ethernet.reports) {
-        for (sc, sa) in stage_comms(c).iter().zip(stage_comms(a)) {
+        for (sc, sa) in c.stage_comms().iter().zip(a.stage_comms()) {
             assert!(
                 sa.exchange_wall > sc.exchange_wall,
                 "rank {}: AWS {:?} should exceed Cori {:?}",
@@ -113,16 +108,16 @@ fn simnet_timings_agree_with_model_projection() {
     // equals the model's per-average-call one and the comparison is exact
     // up to nanosecond rounding.
     for r in &res.reports {
-        assert_eq!(r.bloom_comm.alltoallv_calls, 1, "expected a single Bloom round");
+        assert_eq!(r.stages[Stage::Bloom].comm.alltoallv_calls, 1, "expected a single Bloom round");
     }
 
     let mapping = NodeMapping::new(p / ranks_per_node, ranks_per_node);
     let proj = project(&CORI, mapping, &res.reports);
     let lat = collective_latency_s(&CORI, p);
-    for (si, stage) in Stage::ALL.iter().enumerate() {
-        let modeled = &proj.stage(*stage).exchange_s;
+    for stage in Stage::ALL {
+        let modeled = &proj.stage(stage).exchange_s;
         for r in &res.reports {
-            let comm = stage_comms(r)[si];
+            let comm = &r.stages[stage].comm;
             let expected = modeled[r.rank] + comm.dense_collectives as f64 * lat;
             let got = comm.exchange_wall.as_secs_f64();
             let rel = (got - expected).abs() / expected.max(1e-12);
@@ -144,6 +139,7 @@ fn simnet_single_rank_world() {
     let res = run_pipeline(&reads, 1, &cfg(sim(PlatformId::TitanXK7, 1)));
     assert!(!res.alignments.is_empty());
     let r = &res.reports[0];
-    assert_eq!(r.bloom_comm.remote_bytes(0), 0);
-    assert!(r.bloom_comm.exchange_wall.as_secs_f64() > 0.0);
+    let bloom = &r.stages[Stage::Bloom].comm;
+    assert_eq!(bloom.remote_bytes(0), 0);
+    assert!(bloom.exchange_wall.as_secs_f64() > 0.0);
 }
