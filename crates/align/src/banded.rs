@@ -8,7 +8,7 @@
 //! second reference for the x-drop kernel.
 
 use crate::scoring::Scoring;
-use crate::simd::{self, I32x8, KernelImpl, LANES};
+use crate::simd::{self, I32x8, KernelImpl};
 use crate::sw::LocalAlignment;
 use crate::workspace::AlignWorkspace;
 
@@ -150,8 +150,8 @@ fn banded_core_scalar(
 ///
 /// Within a row the only serial dependency is the `left` term. With a
 /// linear gap cost that dependency factors out: `T = max(diag, up, 0)` is
-/// independent per cell and vectorizes over [`LANES`]-wide chunks, and the
-/// final value is the max-plus prefix scan `v[off] = max(T[off],
+/// independent per cell and vectorizes over [`I32x8::LANES`]-wide chunks,
+/// and the final value is the max-plus prefix scan `v[off] = max(T[off],
 /// v[off−1] + gap)` — a cheap branch-free second pass that also carries
 /// the scalar kernel's in-order best tracking (so ties break identically).
 /// `T ≥ 0` makes the carry into the first in-band cell irrelevant, exactly
@@ -176,7 +176,7 @@ fn banded_core_simd(
     let [prev, cur] = &mut ws.banded;
     // `width` band slots plus one lane of NEG_INF padding; the padding is
     // written once here and never stored to again.
-    let phys = width + LANES;
+    let phys = width + I32x8::LANES;
     prev.clear();
     prev.resize(phys, NEG_INF);
     cur.clear();
@@ -213,13 +213,13 @@ fn banded_core_simd(
         // splat.
         let s_v = I32x8::splat(s[i - 1] as i32);
         let mut off = f;
-        while off + LANES <= l + 1 {
+        while off + I32x8::LANES <= l + 1 {
             let t_bytes = I32x8::load_bytes(t, jf - 1 + (off - f));
             let sub = t_bytes.eq_lanes(s_v).blend(match_v, mismatch_v);
             let diag = I32x8::load(prev, off).add(sub);
             let up = I32x8::load(prev, off + 1).add(gap_v);
             diag.max(up).max(zero_v).store(cur, off);
-            off += LANES;
+            off += I32x8::LANES;
         }
         while off <= l {
             let j = jf + (off - f);

@@ -1,26 +1,41 @@
 //! Portable integer SIMD lanes for the alignment kernels, and the
 //! per-thread kernel selection.
 //!
-//! # Why a hand-rolled lane type
+//! # Why hand-rolled lane types
 //!
-//! The striped/vertical kernels in [`crate::xdrop`] and [`crate::banded`]
-//! need exact, deterministic integer arithmetic — their contract is
-//! **bit-identity** with the scalar kernels, checked by a differential
-//! test suite (`tests/simd_identity.rs`, `tests/kernel_golden.rs`). On
-//! stable Rust there is no `std::simd`, and explicit `core::arch`
-//! intrinsics would tie the crate to one ISA and drag in `unsafe`. An
-//! [`I32x8`] is instead a plain `[i32; 8]` with `#[inline(always)]`
-//! lane-wise operations: every op is branchless straight-line integer
-//! code, which LLVM auto-vectorizes to SSE2 (`paddd`/`pcmpgtd`/`pand`…)
-//! on the x86-64 baseline and to NEON on aarch64 — and on any other
-//! target it is still the *same arithmetic*, so results never depend on
-//! the ISA. Eight lanes = two SSE2 registers or one AVX2 register,
-//! enough for the vectorizer to amortize loop overhead either way.
+//! The lane kernels in [`crate::xdrop`] and [`crate::banded`] need exact,
+//! deterministic integer arithmetic — their contract is **bit-identity**
+//! with the scalar kernels, checked by a differential test suite
+//! (`tests/simd_identity.rs`, `tests/kernel_golden.rs`). On stable Rust
+//! there is no `std::simd`, and explicit `core::arch` intrinsics would tie
+//! the crate to one ISA and drag in `unsafe`. The lane types are instead
+//! plain arrays with `#[inline(always)]` branchless lane-wise operations,
+//! left to LLVM's SLP vectorizer; on any target they are still the *same
+//! arithmetic*, so results never depend on the ISA.
+//!
+//! What the vectorizer makes of them depends on the lane width, because
+//! SSE2 — the x86-64 baseline — has 16-bit but no 32-bit signed `max`:
+//!
+//! * [`I16x16`] (the x-drop kernel, on the pipeline's path) compiles to
+//!   real vector code: `pmaxsw`, `paddsw`, `pminsw`, and `pcmpeqb` plus
+//!   `punpck{l,h}bw` for the byte compare, two `xmm` registers per value.
+//!   CI greps the kernel's assembly for `pmaxsw` so a change that loses
+//!   this fails.
+//! * [`I32x8`] (the banded kernel, off the pipeline's path) vectorizes
+//!   only in part: its adds become `paddd`, each `max` becomes a
+//!   `pcmpgtd`/`pand`/`pandn`/`por` sequence, and much of the kernel stays
+//!   scalar `cmov` code.
+//!
+//! Both counts refer to an optimized build without LTO. Under
+//! `lto = "thin"` the crate's own `--emit asm` output is the pre-link
+//! module, which holds no vector code at all: vectorization runs when the
+//! final binary is linked.
 //!
 //! # Kernel selection
 //!
 //! Two implementations of each hot kernel exist forever (scalar and
-//! lane-vectorized); [`KernelImpl`] names them. Which one an
+//! lane-vectorized); [`KernelImpl`] names them. The x-drop lane kernel
+//! itself hands inputs it cannot run exactly in `i16` to the scalar one. Which one an
 //! auto-dispatching entry point ([`crate::extend_xdrop_with_workspace`],
 //! [`crate::banded_sw_with_workspace`], …) runs is resolved from
 //! [`SimdMode`]:
@@ -36,11 +51,6 @@
 
 use std::cell::Cell;
 
-/// Lane count of [`I32x8`]. Row buffers used by the vector kernels are
-/// padded to a multiple of this (plus sentinel slack) so full-width
-/// loads never run out of bounds.
-pub const LANES: usize = 8;
-
 /// Which implementation of a hot alignment kernel to run.
 ///
 /// Every auto-dispatching kernel entry point has an `*_with` twin taking
@@ -50,7 +60,7 @@ pub const LANES: usize = 8;
 pub enum KernelImpl {
     /// The historical branchy scalar kernel.
     Scalar,
-    /// The striped/vertical lane-SIMD kernel ([`I32x8`] arithmetic).
+    /// The lane kernels: [`I16x16`] x-drop, [`I32x8`] banded.
     Simd,
 }
 
@@ -117,57 +127,163 @@ pub fn thread_simd_mode() -> SimdMode {
     THREAD_MODE.with(|c| c.get()).unwrap_or_default()
 }
 
-/// Eight `i32` lanes with branchless element-wise operations.
+/// Sixteen `i16` lanes — the x-drop kernel's cell type.
 ///
-/// All arithmetic wraps (masked-out lanes may hold garbage whose sums
-/// must not abort a debug build); callers only ever read lanes their
-/// masks validate, where wrapping and two's-complement addition agree.
+/// SSE2 has 16-bit signed `max`/`min` and saturating adds (`pmaxsw`,
+/// `pminsw`, `paddsw`) but no 32-bit `max`, so these lanes are where the
+/// x86-64 baseline actually runs the DP recurrence in vector registers
+/// (two `xmm` per value, or one `ymm` under AVX2). Additions saturate:
+/// a `i16::MIN` sentinel plus any non-positive term stays `i16::MIN`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct I32x8(pub [i32; LANES]);
+pub struct I16x16(pub [i16; 16]);
 
-impl I32x8 {
+impl I16x16 {
+    /// Lane count.
+    pub const LANES: usize = 16;
+
     /// All lanes = `v`.
     #[inline(always)]
-    pub fn splat(v: i32) -> Self {
-        Self([v; LANES])
+    pub fn splat(v: i16) -> Self {
+        Self([v; 16])
     }
 
-    /// Lanes `start, start+1, …, start+7`.
+    /// Load lanes from `buf[at .. at + 16]`.
     #[inline(always)]
-    pub fn iota(start: i32) -> Self {
-        let mut a = [0i32; LANES];
-        for (k, slot) in a.iter_mut().enumerate() {
-            *slot = start.wrapping_add(k as i32);
+    pub fn load(buf: &[i16], at: usize) -> Self {
+        Self(buf[at..at + Self::LANES].try_into().expect("lane load in bounds"))
+    }
+
+    /// Store lanes into `buf[at .. at + 16]`.
+    #[inline(always)]
+    pub fn store(self, buf: &mut [i16], at: usize) {
+        buf[at..at + Self::LANES].copy_from_slice(&self.0);
+    }
+
+    /// Mask of byte equality between `a[..16]` and `b[..16]`: lane `k` is
+    /// −1 where `a[k] == b[k]`, 0 elsewhere (`pcmpeqb` + widening).
+    #[inline(always)]
+    pub fn eq_bytes(a: &[u8], b: &[u8]) -> Self {
+        let a: &[u8; 16] = a[..Self::LANES].try_into().expect("byte lanes in bounds");
+        let b: &[u8; 16] = b[..Self::LANES].try_into().expect("byte lanes in bounds");
+        let mut out = [0i16; 16];
+        for ((slot, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *slot = -((x == y) as i16);
+        }
+        Self(out)
+    }
+
+    /// Lane-wise saturating addition.
+    #[inline(always)]
+    pub fn adds(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = x.saturating_add(y);
         }
         Self(a)
     }
 
-    /// Load lanes from `buf[at .. at + LANES]`.
+    /// Lane-wise signed maximum.
     #[inline(always)]
-    pub fn load(buf: &[i32], at: usize) -> Self {
-        Self(buf[at..at + LANES].try_into().expect("lane load in bounds"))
+    pub fn max(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = (*x).max(y);
+        }
+        Self(a)
     }
 
-    /// Widen `buf[at .. at + LANES]` bytes to `i32` lanes.
+    /// Lane-wise signed minimum.
+    #[inline(always)]
+    pub fn min(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = (*x).min(y);
+        }
+        Self(a)
+    }
+
+    /// Treat `self` as a mask: lanes from `on` where the mask is set,
+    /// from `off` elsewhere.
+    #[inline(always)]
+    pub fn blend(self, on: Self, off: Self) -> Self {
+        let mut a = [0i16; 16];
+        for (k, slot) in a.iter_mut().enumerate() {
+            *slot = (on.0[k] & self.0[k]) | (off.0[k] & !self.0[k]);
+        }
+        Self(a)
+    }
+
+    /// The first `keep` lanes of `self`, `fill` in the rest.
+    #[inline(always)]
+    pub fn keep_first(self, keep: usize, fill: i16) -> Self {
+        let mut a = self.0;
+        for (k, x) in a.iter_mut().enumerate() {
+            if k >= keep {
+                *x = fill;
+            }
+        }
+        Self(a)
+    }
+
+    /// Horizontal maximum over all lanes.
+    #[inline(always)]
+    pub fn hmax(self) -> i16 {
+        self.0.into_iter().fold(i16::MIN, i16::max)
+    }
+
+    /// Horizontal minimum over all lanes.
+    #[inline(always)]
+    pub fn hmin(self) -> i16 {
+        self.0.into_iter().fold(i16::MAX, i16::min)
+    }
+}
+
+/// Eight `i32` lanes with branchless element-wise operations — the
+/// banded kernel's cell type.
+///
+/// All arithmetic wraps (pad lanes may hold sentinel sums that must not
+/// abort a debug build).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct I32x8(pub [i32; 8]);
+
+impl I32x8 {
+    /// Lane count. Row buffers used by the banded kernel carry at least
+    /// this many slots of padding so full-width loads never run out of
+    /// bounds.
+    pub const LANES: usize = 8;
+
+    /// All lanes = `v`.
+    #[inline(always)]
+    pub fn splat(v: i32) -> Self {
+        Self([v; 8])
+    }
+
+    /// Load lanes from `buf[at .. at + 8]`.
+    #[inline(always)]
+    pub fn load(buf: &[i32], at: usize) -> Self {
+        Self(buf[at..at + Self::LANES].try_into().expect("lane load in bounds"))
+    }
+
+    /// Widen `buf[at .. at + 8]` bytes to `i32` lanes.
     #[inline(always)]
     pub fn load_bytes(buf: &[u8], at: usize) -> Self {
-        let b: [u8; LANES] = buf[at..at + LANES].try_into().expect("byte lane load in bounds");
-        let mut a = [0i32; LANES];
+        let b: [u8; 8] = buf[at..at + Self::LANES].try_into().expect("byte lane load in bounds");
+        let mut a = [0i32; 8];
         for (slot, &v) in a.iter_mut().zip(&b) {
             *slot = v as i32;
         }
         Self(a)
     }
 
-    /// Store lanes into `buf[at .. at + LANES]`.
+    /// Store lanes into `buf[at .. at + 8]`.
     #[inline(always)]
     pub fn store(self, buf: &mut [i32], at: usize) {
-        buf[at..at + LANES].copy_from_slice(&self.0);
+        buf[at..at + Self::LANES].copy_from_slice(&self.0);
     }
 
     /// Lane-wise wrapping addition. Deliberately not `std::ops::Add`:
-    /// `+` would suggest overflow-checked semantics, but masked-off
-    /// lanes legitimately hold garbage that must wrap silently.
+    /// `+` would suggest overflow-checked semantics, but pad lanes
+    /// legitimately hold sentinel sums that must wrap silently.
     #[inline(always)]
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, o: Self) -> Self {
@@ -188,43 +304,13 @@ impl I32x8 {
         Self(a)
     }
 
-    /// Lane-wise `self >= o` mask: all-ones lanes where true, 0 where
-    /// false.
-    #[inline(always)]
-    pub fn ge(self, o: Self) -> Self {
-        let mut a = [0i32; LANES];
-        for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
-            *slot = -((x >= y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise `self <= o` mask.
-    #[inline(always)]
-    pub fn le(self, o: Self) -> Self {
-        let mut a = [0i32; LANES];
-        for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
-            *slot = -((x <= y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise equality mask against another vector.
+    /// Lane-wise equality mask against another vector: all-ones lanes
+    /// where equal, 0 elsewhere.
     #[inline(always)]
     pub fn eq_lanes(self, o: Self) -> Self {
-        let mut a = [0i32; LANES];
+        let mut a = [0i32; 8];
         for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
             *slot = -((x == y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise mask intersection.
-    #[inline(always)]
-    pub fn and(self, o: Self) -> Self {
-        let mut a = self.0;
-        for (x, &y) in a.iter_mut().zip(&o.0) {
-            *x &= y;
         }
         Self(a)
     }
@@ -233,28 +319,12 @@ impl I32x8 {
     /// from `off` elsewhere.
     #[inline(always)]
     pub fn blend(self, on: Self, off: Self) -> Self {
-        let mut a = [0i32; LANES];
+        let mut a = [0i32; 8];
         for (k, slot) in a.iter_mut().enumerate() {
             *slot = (on.0[k] & self.0[k]) | (off.0[k] & !self.0[k]);
         }
         Self(a)
     }
-
-    /// Horizontal maximum over all lanes.
-    #[inline(always)]
-    pub fn hmax(self) -> i32 {
-        let mut m = self.0[0];
-        for &v in &self.0[1..] {
-            m = m.max(v);
-        }
-        m
-    }
-}
-
-/// `len` rounded up to a whole number of [`LANES`].
-#[inline(always)]
-pub fn round_up_lanes(len: usize) -> usize {
-    len.div_ceil(LANES) * LANES
 }
 
 #[cfg(test)]
@@ -263,37 +333,59 @@ mod tests {
 
     #[test]
     fn lane_ops_elementwise() {
-        let a = I32x8::iota(0);
+        let mut a = [0i16; 16];
+        for (k, x) in a.iter_mut().enumerate() {
+            *x = k as i16;
+        }
+        let a = I16x16(a);
+        let b = I16x16::splat(3);
+        assert_eq!(a.max(b).0[..5], [3, 3, 3, 3, 4]);
+        assert_eq!(a.min(b).0[..5], [0, 1, 2, 3, 3]);
+        assert_eq!((a.hmax(), a.hmin()), (15, 0));
+        assert_eq!(a.keep_first(2, -7).0[..4], [0, 1, -7, -7]);
+        assert_eq!(a.keep_first(16, -7), a);
+        // Saturation: the sentinel absorbs negative terms and real values
+        // are untouched.
+        let neg = I16x16::splat(i16::MIN);
+        assert_eq!(neg.adds(I16x16::splat(-64)), neg);
+        assert_eq!(I16x16::splat(i16::MAX).adds(b), I16x16::splat(i16::MAX));
+        assert_eq!(a.adds(I16x16::splat(-1)).0[..3], [-1, 0, 1]);
+
+        let a = I32x8([0, 1, 2, 3, 4, 5, 6, 7]);
         let b = I32x8::splat(3);
         assert_eq!(a.add(b).0, [3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(a.max(b).0, [3, 3, 3, 3, 4, 5, 6, 7]);
-        assert_eq!(a.hmax(), 7);
-        let m = a.ge(b); // lanes 3..=7 set
-        assert_eq!(m.0, [0, 0, 0, -1, -1, -1, -1, -1]);
+        let m = a.eq_lanes(b);
+        assert_eq!(m.0, [0, 0, 0, -1, 0, 0, 0, 0]);
         let sel = m.blend(I32x8::splat(1), I32x8::splat(-9));
-        assert_eq!(sel.0, [-9, -9, -9, 1, 1, 1, 1, 1]);
-        let le = a.le(I32x8::splat(2)).and(a.ge(I32x8::splat(1)));
-        assert_eq!(le.0, [0, -1, -1, 0, 0, 0, 0, 0]);
+        assert_eq!(sel.0, [-9, -9, -9, 1, -9, -9, -9, -9]);
     }
 
     #[test]
     fn byte_lanes_and_eq() {
-        let bytes = *b"ACGTACGT";
-        let v = I32x8::load_bytes(&bytes, 0);
+        let s = *b"ACGTACGTACGTACGTxx";
+        let t = *b"ACGAACGTTCGTACGGyy";
+        let sub = I16x16::eq_bytes(&s, &t).blend(I16x16::splat(2), I16x16::splat(-5));
+        assert_eq!(sub.0[..9], [2, 2, 2, -5, 2, 2, 2, 2, -5]);
+        assert_eq!(sub.0[15], -5);
+
+        let v = I32x8::load_bytes(&s, 0);
         assert_eq!(v.0[0], b'A' as i32);
-        let eq = v.eq_lanes(I32x8::splat(b'C' as i32));
-        assert_eq!(eq.0, [0, -1, 0, 0, 0, -1, 0, 0]);
+        assert_eq!(v.eq_lanes(I32x8::splat(b'C' as i32)).0, [0, -1, 0, 0, 0, -1, 0, 0]);
     }
 
     #[test]
     fn load_store_roundtrip() {
+        let v = I16x16::splat(-3).adds(I16x16([7; 16]));
+        let mut buf = vec![0i16; 40];
+        v.store(&mut buf, 7);
+        assert_eq!(I16x16::load(&buf, 7), v);
+        assert_eq!((buf[6], buf[23]), (0, 0));
+
+        let v = I32x8([5, 6, 7, 8, 9, 10, 11, 12]);
         let mut buf = vec![0i32; 24];
-        I32x8::iota(5).store(&mut buf, 8);
-        assert_eq!(I32x8::load(&buf, 8), I32x8::iota(5));
-        assert_eq!(round_up_lanes(0), 0);
-        assert_eq!(round_up_lanes(1), 8);
-        assert_eq!(round_up_lanes(8), 8);
-        assert_eq!(round_up_lanes(9), 16);
+        v.store(&mut buf, 8);
+        assert_eq!(I32x8::load(&buf, 8), v);
     }
 
     #[test]

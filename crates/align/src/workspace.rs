@@ -19,8 +19,9 @@
 //! that parallelize (e.g. `dibella-core`'s alignment-stage batch executor)
 //! keep one workspace per worker thread and reuse it across every task
 //! that worker processes. Reusing a *dirty* workspace is always safe —
-//! every kernel fully re-initializes the prefix of each buffer it reads —
-//! which is exactly what the bit-identity property tests exercise.
+//! every kernel writes each scratch cell that can reach its output before
+//! reading it — which is exactly what the bit-identity property tests
+//! exercise.
 
 use crate::cigar::CigarOp;
 
@@ -33,13 +34,18 @@ use crate::cigar::CigarOp;
 /// state.
 #[derive(Clone, Debug, Default)]
 pub struct AlignWorkspace {
-    /// Three x-drop score rows (antidiagonals d−2, d−1 and d), rotated in
-    /// place instead of cloned per antidiagonal. The scalar kernel sizes
-    /// them exactly; the lane-SIMD kernel lays the same buffers out with
-    /// a sentinel slot and lane padding. Either kernel fully
-    /// re-initializes what it reads, so the implementations share storage
-    /// across calls safely.
+    /// Three scalar x-drop score rows (antidiagonals d−2, d−1 and d),
+    /// rotated in place instead of cloned per antidiagonal.
     pub(crate) xdrop: [Vec<i32>; 3],
+    /// The lane x-drop kernel's three `i16` rows: cell `i` at slot
+    /// `i + 1`, a sentinel in slot 0. They only ever grow: the kernel
+    /// re-initializes the few cells the next rows read, never the whole
+    /// row.
+    pub(crate) xdrop_lanes: [Vec<i16>; 3],
+    /// The lane x-drop kernel's oriented sequence copies, made once per
+    /// extension: `s` in walk order behind one pad byte, and `t` in
+    /// reversed walk order, each followed by a lane of pad bytes.
+    pub(crate) oriented: [Vec<u8>; 2],
     /// Two banded-Smith-Waterman rows (previous and current `i`).
     pub(crate) banded: [Vec<i32>; 2],
     /// Reverse-complement scratch for callers orienting a read before
@@ -51,14 +57,6 @@ pub struct AlignWorkspace {
     pub(crate) cigar_dp: Vec<i32>,
     /// Reversed op list the CIGAR traceback is accumulated into.
     pub(crate) cigar_ops: Vec<CigarOp>,
-    /// Per-antidiagonal substitution scores for the lane-SIMD x-drop
-    /// kernel (one lane-padded `i32` per candidate cell; see
-    /// `docs/ARCHITECTURE.md` § "SIMD kernels").
-    pub(crate) sub_scores: Vec<i32>,
-    /// Reversed byte window the SIMD kernels stage the descending-index
-    /// sequence side into, so the substitution-score fill reads both
-    /// sides forward (and therefore vectorizes).
-    pub(crate) rev_bytes: Vec<u8>,
 }
 
 impl AlignWorkspace {
@@ -74,11 +72,12 @@ impl AlignWorkspace {
     pub fn scratch_bytes(&self) -> usize {
         let i32s = self.xdrop.iter().map(Vec::capacity).sum::<usize>()
             + self.banded.iter().map(Vec::capacity).sum::<usize>()
-            + self.cigar_dp.capacity()
-            + self.sub_scores.capacity();
+            + self.cigar_dp.capacity();
+        let i16s = self.xdrop_lanes.iter().map(Vec::capacity).sum::<usize>();
         i32s * std::mem::size_of::<i32>()
+            + i16s * std::mem::size_of::<i16>()
+            + self.oriented.iter().map(Vec::capacity).sum::<usize>()
             + self.rc.capacity()
-            + self.rev_bytes.capacity()
             + self.cigar_ops.capacity() * std::mem::size_of::<CigarOp>()
     }
 }

@@ -16,7 +16,7 @@
 //! stage's x-drop load imbalance (paper §9, Figure 8).
 
 use crate::scoring::Scoring;
-use crate::simd::{self, round_up_lanes, I32x8, KernelImpl, LANES};
+use crate::simd::{self, I16x16, KernelImpl};
 use crate::workspace::AlignWorkspace;
 
 /// Score used for pruned/unreachable cells. Kept well away from `i32::MIN`
@@ -105,10 +105,7 @@ pub fn extend_xdrop_with(
     ws: &mut AlignWorkspace,
     imp: KernelImpl,
 ) -> Extension {
-    match imp {
-        KernelImpl::Scalar => xdrop_core::<false>(s, t, scoring, x, &mut ws.xdrop),
-        KernelImpl::Simd => xdrop_core_simd::<false>(s, t, scoring, x, ws),
-    }
+    extend_xdrop_dir_with(s, t, Dir::Fwd, scoring, x, ws, imp)
 }
 
 /// The x-drop scan over antidiagonals, generic over walk direction.
@@ -258,83 +255,158 @@ pub(crate) fn xdrop_core<const REV: bool>(
     Extension { score: best, s_ext: best_i, t_ext: best_j, cells }
 }
 
-/// The lane-SIMD x-drop scan — same antidiagonal walk, pruning and
-/// bookkeeping as [`xdrop_core`], with the per-cell recurrence computed
-/// [`LANES`] cells at a time.
+/// `|match|`, `|mismatch|` and `|gap|` bound under which the lane kernel
+/// is exact: one row moves `best` by at most this much.
+const LANE_SCORE_MAX: i32 = 64;
+
+/// Largest drop-off `x` the lane kernel runs.
+const LANE_X_MAX: i32 = 4096;
+
+/// Lowest value, relative to its row's base, the lane kernel lets a cell
+/// take; below it the extension restarts on the scalar kernel.
+const LANE_FLOOR: i16 = -8192;
+
+/// Rows between two checks of [`LANE_FLOOR`]. A row's minimum sits at
+/// most `2 · LANE_SCORE_MAX` below the previous row's, so values stay far
+/// above the `i16::MIN` sentinel between checks.
+const LANE_GUARD_ROWS: usize = 64;
+
+/// Sentinel of the lane kernel: saturating adds keep it at `i16::MIN`
+/// under every non-positive term, and it loses every `max` against a
+/// reachable cell.
+const NEG: i16 = i16::MIN;
+
+/// Whether the lane kernel is exact for these parameters. With scores in
+/// `[−64, 64]` and `x ≤ 4096` every pruning threshold, rebase and
+/// recurrence term fits `i16` with room to spare.
+fn lanes_exact(scoring: Scoring, x: i32) -> bool {
+    (1..=LANE_SCORE_MAX).contains(&scoring.match_score)
+        && (-LANE_SCORE_MAX..=-1).contains(&scoring.mismatch)
+        && (-LANE_SCORE_MAX..=-1).contains(&scoring.gap)
+        && x <= LANE_X_MAX
+}
+
+/// Per-row constants of the lane recurrence: the gap and substitution
+/// terms rebased to the row's frame, and where cell 0 of the row would
+/// sit in the reversed `t` copy. (The chunk step is an `#[inline(always)]`
+/// method, not a closure: LLVM declined to inline the closure, and its
+/// lanes then went through memory as scalar code.)
+struct RowTerms {
+    gap: I16x16,
+    match_score: I16x16,
+    mismatch: I16x16,
+    t_at: usize,
+}
+
+impl RowTerms {
+    /// Cells `i0 .. i0 + 16` of the row: the best of the two gap moves
+    /// from row d−1 and the substitution from row d−2.
+    #[inline(always)]
+    fn chunk(&self, prev: &[i16], prev2: &[i16], sw: &[u8], tr: &[u8], i0: usize) -> I16x16 {
+        let horiz = I16x16::load(prev, i0 + 1).max(I16x16::load(prev, i0)).adds(self.gap);
+        let eq = I16x16::eq_bytes(&sw[i0..], &tr[self.t_at.wrapping_add(i0)..]);
+        let diag = I16x16::load(prev2, i0).adds(eq.blend(self.match_score, self.mismatch));
+        horiz.max(diag)
+    }
+}
+
+/// The lane x-drop scan: the same antidiagonal walk, pruning and
+/// bookkeeping as [`xdrop_core`], with each row computed
+/// [`I16x16::LANES`] cells at a time in `i16`. Returns `Err(d)` when a
+/// cell has dropped below [`LANE_FLOOR`] by antidiagonal `d`; the caller
+/// then reruns the scalar kernel.
 ///
-/// The key observation is that within one antidiagonal the cells are
-/// independent: cell `(i, d−i)` reads only rows `d−1` and `d−2`, so the
-/// inner loop vectorizes *vertically* with three shifted row loads. The
-/// scalar kernel's per-cell range guards become per-term interval masks
-/// (each recurrence source is legal on one contiguous `i`-interval), and
-/// its incremental best tracking collapses to a per-row maximum plus one
-/// rescan on improving rows — the first cell achieving a row's maximum is
-/// exactly the cell the scalar scan records. Rows store a `NEG_INF`
-/// sentinel at slot 0 (so `i−1` loads never underflow) and are padded to
-/// whole lanes (so full-width loads never overflow); pruned cells store
-/// exactly `NEG_INF`, as the scalar kernel leaves them. Output is
-/// therefore bit-identical to [`xdrop_core`] — scores, extents *and* the
-/// `cells` tally — which `tests/simd_identity.rs` and
-/// `tests/kernel_golden.rs` enforce.
-pub(crate) fn xdrop_core_simd<const REV: bool>(
+/// * **Relative rows.** Row `d` is stored relative to `best` as it stood
+///   before the row (its base), so no cell exceeds `LANE_SCORE_MAX`, and
+///   a check every [`LANE_GUARD_ROWS`] rows gives up once one has sunk
+///   below `LANE_FLOOR`. Reading rows `d−1` and `d−2` in row `d`'s frame
+///   folds into the per-row terms `gap + (base₁ − best)` and
+///   `sub + (base₂ − best)`.
+/// * **Sentinels, not masks.** Rows are indexed by absolute `i` (slot
+///   `i + 1`; slot 0 is a permanent `NEG`). Every cell of `[lo, hi]` has a
+///   live source on row `d−1`, and after pruning row `d` to
+///   `[first, last]` the kernel writes `NEG` to cells `first − 1` and
+///   `last + 1` — the only cells outside the live range that any
+///   in-range lane of rows `d+1` and `d+2` reads. So no term needs an
+///   interval mask; only the row's last chunk masks its lanes past `hi`.
+/// * **Oriented bytes.** `s` in walk order and `t` reversed are copied
+///   once per call, so cell `i`'s bases sit at the same lane offset in
+///   both and the substitution term is one byte compare.
+///
+/// The first cell reaching a row's maximum is the one the scalar scan's
+/// incremental `v > best` records, so scores, extents and the `cells`
+/// tally are bit-identical to [`xdrop_core`] (`tests/simd_identity.rs`,
+/// `tests/kernel_golden.rs`). Not inlined, so both directions of
+/// [`extend_seed_with`] share one copy of the kernel.
+#[inline(never)]
+pub(crate) fn xdrop_lanes(
     s: &[u8],
     t: &[u8],
+    dir: Dir,
     scoring: Scoring,
     x: i32,
     ws: &mut AlignWorkspace,
-) -> Extension {
+) -> Result<Extension, usize> {
+    const L: usize = I16x16::LANES;
     assert!(x > 0, "x-drop threshold must be positive");
     let n = s.len();
     let m = t.len();
     if n == 0 || m == 0 {
-        return Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 };
+        return Ok(Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 });
     }
+    let AlignWorkspace { xdrop_lanes: rows, oriented: [sw, tr], .. } = ws;
 
-    let AlignWorkspace { xdrop: rows, sub_scores, rev_bytes, .. } = ws;
-    let [prev2, prev, cur] = rows;
+    // sw[i] = walk-order base i − 1 of s; tr[m + i − d] = walk-order base
+    // d − i − 1 of t. Pads make full-lane reads at i = 0 and up to `hi`
+    // legal; their compares only ever meet `NEG` or masked lanes.
+    sw.clear();
+    sw.push(0);
+    tr.clear();
+    match dir {
+        Dir::Fwd => {
+            sw.extend_from_slice(s);
+            tr.extend(t.iter().rev());
+        }
+        Dir::Rev => {
+            sw.extend(s.iter().rev());
+            tr.extend_from_slice(t);
+        }
+    }
+    sw.extend_from_slice(&[0; L]);
+    tr.extend_from_slice(&[0; L]);
+
+    // A chunk starting at i0 ≤ n touches slots up to i0 + L.
+    let phys = n + L + 1;
+    for row in rows.iter_mut() {
+        if row.len() < phys {
+            row.resize(phys, NEG);
+        }
+    }
+    let (sw, tr) = (&sw[..], &tr[..]);
+    let [r0, r1, r2] = rows;
+    let (mut prev2, mut prev, mut cur) = (&mut r0[..phys], &mut r1[..phys], &mut r2[..phys]);
+
+    // d = 0: the single cell (0, 0) = 0. d = 1: cells (0, 1) and (1, 0),
+    // both pure gap. Both rows are relative to best = 0.
+    prev2[1] = 0;
+    prev2[2] = NEG;
+    prev[1] = scoring.gap as i16;
+    prev[2] = scoring.gap as i16;
+    prev[3] = NEG;
+    let mut cells = 2u64;
+    if scoring.gap < -x {
+        return Ok(Extension { score: 0, s_ext: 0, t_ext: 0, cells });
+    }
 
     let mut best = 0i32;
     let mut best_i = 0usize;
     let mut best_j = 0usize;
-    let mut cells = 0u64;
-
-    // Row layout: slot 0 is a NEG_INF sentinel backing the shifted
-    // (`i−1`) loads, slot `1 + (i − base)` holds cell `i`, and the tail
-    // is padded so any full-width load launched from a valid cell stays
-    // in bounds. A row never exceeds min(n, m) + 1 cells, so one sizing
-    // covers the whole call; rows are not re-initialized per
-    // antidiagonal — every slot an *unmasked* lane reads was stored by
-    // the previous rows' store passes (or is the sentinel), masked lanes
-    // tolerate arbitrary stale data, and the post-row scans only look at
-    // freshly stored cells.
-    let max_len = n.min(m) + 1;
-    let phys = 1 + round_up_lanes(max_len) + LANES;
-    for row in [&mut *prev2, &mut *prev, &mut *cur] {
-        row.clear();
-        row.resize(phys, NEG_INF);
-    }
-    sub_scores.clear();
-    sub_scores.resize(round_up_lanes(max_len) + LANES, NEG_INF);
-
-    // d = 0: the single cell (0, 0) = 0.
-    prev2[1] = 0;
-    let mut prev2_base = 0usize;
-    let mut prev2_lo = 0usize;
-    let mut prev2_hi = 0usize;
-
-    // d = 1: cells (0,1) and (1,0), both pure gap (n, m ≥ 1 here).
-    prev[1] = scoring.gap;
-    prev[2] = scoring.gap;
-    cells += 2;
-    if scoring.gap < best - x {
-        return Extension { score: best, s_ext: best_i, t_ext: best_j, cells };
-    }
-    let mut prev_base = 0usize;
+    // Bases (best before the row) of rows d−2 and d−1.
+    let mut base2 = 0i32;
+    let mut base1 = 0i32;
     let mut prev_lo = 0usize;
     let mut prev_hi = 1usize;
-
-    let gap_v = I32x8::splat(scoring.gap);
-    let neg_v = I32x8::splat(NEG_INF);
+    let mut lowest = I16x16::splat(0);
 
     let mut d = 1usize;
     loop {
@@ -347,129 +419,65 @@ pub(crate) fn xdrop_core_simd<const REV: bool>(
         if lo > hi {
             break;
         }
-        let len = hi - lo + 1;
-        // Every i in [lo, hi] is a computed cell: lo ≥ d − m keeps
-        // j = d − i ≤ m and hi ≤ min(d, n) keeps i ≤ n, j ≥ 0 — the
-        // scalar kernel's skip guard never fires.
-        cells += len as u64;
+        cells += (hi - lo + 1) as u64;
 
-        // Per-term legal-source intervals of i (empty ⇒ all-false masks):
-        // gap in s needs (i, j−1) alive on row d−1 and j ≥ 1; gap in t
-        // needs (i−1, j) alive on row d−1; substitution needs (i−1, j−1)
-        // alive on row d−2 with i, j ≥ 1.
-        let gs_lo = lo.max(prev_lo);
-        let gs_hi = hi.min(prev_hi).min(d - 1);
-        let gt_lo = lo.max(prev_lo + 1);
-        let gt_hi = hi.min(prev_hi + 1);
-        let sub_lo = lo.max(1).max(prev2_lo + 1);
-        let sub_hi = hi.min(prev2_hi + 1).min(d - 1);
-
-        // Substitution scores for the candidate diagonal cells, staged
-        // into a lane-padded scratch row indexed by i − lo (only the
-        // `[sub_lo, sub_hi]` window is written; lanes outside it are
-        // masked or unused). One side of the antidiagonal walks its
-        // sequence backward; copying that side reversed first lets the
-        // compare loop run forward over both.
-        if sub_lo <= sub_hi {
-            rev_bytes.clear();
-            let fwd: &[u8] = if REV {
-                // Walk-order base of s is s[n − i] (descending with i);
-                // of t is t[m − d + i] (ascending).
-                rev_bytes.extend(s[n - sub_hi..=n - sub_lo].iter().rev());
-                &t[m + sub_lo - d..=m + sub_hi - d]
-            } else {
-                // s[i − 1] ascends with i; t[d − i − 1] descends.
-                rev_bytes.extend(t[d - 1 - sub_hi..=d - 1 - sub_lo].iter().rev());
-                &s[sub_lo - 1..=sub_hi - 1]
-            };
-            let at = sub_lo - lo;
-            for (slot, (&p, &q)) in sub_scores[at..].iter_mut().zip(fwd.iter().zip(&*rev_bytes)) {
-                *slot = if p == q { scoring.match_score } else { scoring.mismatch };
-            }
-        }
-
-        let gs_lo_v = I32x8::splat(gs_lo as i32);
-        let gs_hi_v = I32x8::splat(gs_hi as i32);
-        let gt_lo_v = I32x8::splat(gt_lo as i32);
-        let gt_hi_v = I32x8::splat(gt_hi as i32);
-        let sub_lo_v = I32x8::splat(sub_lo as i32);
-        let sub_hi_v = I32x8::splat(sub_hi as i32);
-
-        // On `[core_lo, core_hi]` every term is legal, so whole chunks
-        // inside it skip the interval masks (and share the gap add) —
-        // that covers all but the first and last chunks of a typical row.
-        let core_lo = gs_lo.max(gt_lo).max(sub_lo);
-        let core_hi = gs_hi.min(gt_hi).min(sub_hi);
-
-        let mut rowmax = neg_v;
+        let terms = RowTerms {
+            gap: I16x16::splat((scoring.gap + base1 - best) as i16),
+            match_score: I16x16::splat((scoring.match_score + base2 - best) as i16),
+            mismatch: I16x16::splat((scoring.mismatch + base2 - best) as i16),
+            t_at: m.wrapping_sub(d), // t_at + i = m + i − d ≥ 0 for i ≥ lo
+        };
+        let mut rowmax = I16x16::splat(NEG);
         let mut i0 = lo;
-        while i0 <= hi {
-            let v = if i0 >= core_lo && i0 + (LANES - 1) <= core_hi {
-                let horiz = I32x8::load(prev, i0 - prev_base + 1)
-                    .max(I32x8::load(prev, i0 - prev_base))
-                    .add(gap_v);
-                let diag =
-                    I32x8::load(prev2, i0 - prev2_base).add(I32x8::load(sub_scores, i0 - lo));
-                // Clamp: a term fed by a pruned (NEG_INF) cell must store
-                // exactly NEG_INF, as the scalar kernel leaves it.
-                horiz.max(diag).max(neg_v)
-            } else {
-                let vi = I32x8::iota(i0 as i32);
-                // Gap in s (from (i, j−1), row d−1, same i).
-                let c = I32x8::load(prev, i0 - prev_base + 1);
-                let mask = vi.ge(gs_lo_v).and(vi.le(gs_hi_v));
-                let mut v = mask.blend(c.add(gap_v), neg_v);
-                // Gap in t (from (i−1, j), row d−1, cell i−1).
-                let c = I32x8::load(prev, i0 - prev_base);
-                let mask = vi.ge(gt_lo_v).and(vi.le(gt_hi_v));
-                v = v.max(mask.blend(c.add(gap_v), neg_v));
-                // Substitution (from (i−1, j−1), row d−2, cell i−1).
-                let c = I32x8::load(prev2, i0 - prev2_base);
-                let sub = I32x8::load(sub_scores, i0 - lo);
-                let mask = vi.ge(sub_lo_v).and(vi.le(sub_hi_v));
-                v = v.max(mask.blend(c.add(sub), neg_v));
-                v.max(neg_v)
-            };
-            v.store(cur, i0 - lo + 1);
+        while i0 + L <= hi + 1 {
+            let v = terms.chunk(prev, prev2, sw, tr, i0);
+            v.store(cur, i0 + 1);
             rowmax = rowmax.max(v);
-            i0 += LANES;
+            lowest = lowest.min(v);
+            i0 += L;
+        }
+        if i0 <= hi {
+            let v = terms.chunk(prev, prev2, sw, tr, i0);
+            let keep = hi + 1 - i0;
+            lowest = lowest.min(v.keep_first(keep, 0));
+            let v = v.keep_first(keep, NEG);
+            v.store(cur, i0 + 1);
+            rowmax = rowmax.max(v);
         }
 
+        let row = &cur[lo + 1..=hi + 1];
         let rm = rowmax.hmax();
-        if rm <= NEG_INF {
-            break; // no reachable cell on this antidiagonal
-        }
-        if rm > best {
-            // The scalar scan's incremental `v > best` updates land on the
-            // first cell achieving the row maximum; recover it by rescan.
-            let off = cur[1..1 + len]
-                .iter()
-                .position(|&v| v == rm)
-                .expect("row maximum must be present");
-            best = rm;
+        let base = best;
+        if rm > 0 {
+            let off = row.iter().position(|&v| v == rm).expect("row maximum must be present");
+            best = base + rm as i32;
             best_i = lo + off;
             best_j = d - best_i;
         }
-        // X-drop pruning on the logical range, exactly as the scalar scan.
-        let threshold = best - x;
-        let live = &cur[1..1 + len];
-        let first = live.iter().position(|&v| v >= threshold);
-        let last = live.iter().rposition(|&v| v >= threshold);
+        // X-drop pruning against best − x, in row d's frame.
+        let threshold = (rm.max(0) as i32 - x) as i16;
+        let first = row.iter().position(|&v| v >= threshold);
+        let last = row.iter().rposition(|&v| v >= threshold);
         let (first, last) = match (first, last) {
             (Some(f), Some(l)) => (f, l),
             _ => break, // every cell pruned → extension terminates
         };
-        std::mem::swap(prev2, prev);
-        std::mem::swap(prev, cur);
-        prev2_base = prev_base;
-        prev2_lo = prev_lo;
-        prev2_hi = prev_hi;
-        prev_base = lo;
+        cur[lo + first] = NEG; // cell lo + first − 1
+        cur[lo + last + 2] = NEG; // cell lo + last + 1
+        if d.is_multiple_of(LANE_GUARD_ROWS) && lowest.hmin() < LANE_FLOOR {
+            return Err(d);
+        }
+        (prev2, prev, cur) = (prev, cur, prev2);
+        base2 = base1;
+        base1 = base;
         prev_lo = lo + first;
         prev_hi = lo + last;
     }
 
-    Extension { score: best, s_ext: best_i, t_ext: best_j, cells }
+    if lowest.hmin() < LANE_FLOOR {
+        return Err(d);
+    }
+    Ok(Extension { score: best, s_ext: best_i, t_ext: best_j, cells })
 }
 
 /// Ungapped x-drop extension along the main diagonal (the cheap variant
@@ -546,6 +554,11 @@ pub fn extend_xdrop_dir_with_workspace(
 /// [`crate::simd::SimdMode`]. This is the entry point the differential
 /// tests and the kernel benchmarks use to drive both implementations over
 /// the same (dirty) workspace.
+///
+/// [`KernelImpl::Simd`] runs the `i16` lane kernel and falls back to the
+/// scalar one for scores of magnitude above 64 or `x` above 4096, and
+/// reruns an extension on it if a cell sinks more than 8192 below its
+/// row's best — the bounds within which 16 bits are exact.
 pub fn extend_xdrop_dir_with(
     s: &[u8],
     t: &[u8],
@@ -555,11 +568,14 @@ pub fn extend_xdrop_dir_with(
     ws: &mut AlignWorkspace,
     imp: KernelImpl,
 ) -> Extension {
-    match (dir, imp) {
-        (Dir::Fwd, KernelImpl::Scalar) => xdrop_core::<false>(s, t, scoring, x, &mut ws.xdrop),
-        (Dir::Rev, KernelImpl::Scalar) => xdrop_core::<true>(s, t, scoring, x, &mut ws.xdrop),
-        (Dir::Fwd, KernelImpl::Simd) => xdrop_core_simd::<false>(s, t, scoring, x, ws),
-        (Dir::Rev, KernelImpl::Simd) => xdrop_core_simd::<true>(s, t, scoring, x, ws),
+    if imp == KernelImpl::Simd && lanes_exact(scoring, x) {
+        if let Ok(e) = xdrop_lanes(s, t, dir, scoring, x, ws) {
+            return e;
+        }
+    }
+    match dir {
+        Dir::Fwd => xdrop_core::<false>(s, t, scoring, x, &mut ws.xdrop),
+        Dir::Rev => xdrop_core::<true>(s, t, scoring, x, &mut ws.xdrop),
     }
 }
 
@@ -779,6 +795,55 @@ mod tests {
     #[should_panic(expected = "seed out of range")]
     fn seed_bounds_checked() {
         let _ = extend_seed(b"ACGT", b"ACGT", SeedHit { a_pos: 2, b_pos: 0, k: 4 }, S, 5);
+    }
+
+    /// Pseudo-random bases (the generator of `tests/common`).
+    fn bases(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state % 4) as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_floor_guard_fires_mid_extension() {
+        // A tandem repeat with a 100-base insertion (`tests/common`'s
+        // `tandem_insertion`): cells between two surviving diagonals sink
+        // more than 8192 below the best.
+        let unit = bases(200, 0x9E37_79B9_7F4A_7C15);
+        let s: Vec<u8> = unit.iter().cycle().take(600).copied().collect();
+        let mut t = s[..100].to_vec();
+        t.extend(bases(100, 7));
+        t.extend_from_slice(&s[100..]);
+        let sc = Scoring { match_score: 64, mismatch: -64, gap: -64 };
+        assert!(lanes_exact(sc, 4096), "the up-front check must not be what hands over");
+        let mut ws = AlignWorkspace::new();
+        let scalar = xdrop_core::<false>(&s, &t, sc, 4096, &mut ws.xdrop);
+        let fired = xdrop_lanes(&s, &t, Dir::Fwd, sc, 4096, &mut ws)
+            .expect_err("the floor guard must fire");
+        // Mid-extension: the scalar walk finds its best cell after it.
+        assert!(fired < scalar.s_ext + scalar.t_ext, "fired at {fired}, best at {scalar:?}");
+        let auto = extend_xdrop_dir_with(&s, &t, Dir::Fwd, sc, 4096, &mut ws, KernelImpl::Simd);
+        assert_eq!(auto, scalar);
+        // An ordinary extension stays on the lane kernel.
+        let e = xdrop_lanes(&s, &s, Dir::Fwd, S, 25, &mut ws).expect("no guard on identity");
+        assert_eq!(e, extend_xdrop(&s, &s, S, 25));
+    }
+
+    #[test]
+    fn lane_bounds_gate_the_lane_kernel() {
+        assert!(lanes_exact(Scoring::new(64, -64, -64), 4096));
+        assert!(!lanes_exact(Scoring::new(65, -1, -1), 25));
+        assert!(!lanes_exact(Scoring::new(1, -65, -1), 25));
+        assert!(!lanes_exact(Scoring::new(1, -1, -65), 25));
+        assert!(!lanes_exact(S, 4097));
+        // Schemes `Scoring::new` rejects also go to the scalar kernel.
+        assert!(!lanes_exact(Scoring { match_score: 1, mismatch: -1, gap: 0 }, 25));
     }
 
     #[test]

@@ -14,6 +14,8 @@ use dibella_align::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod common;
+
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -96,11 +98,10 @@ fn warmed_workspace_kernels_do_not_allocate() {
     });
     assert_eq!(n, 0, "shrunken follow-up call allocated {n}x");
 
-    // Both explicit kernel implementations — the lane-SIMD path lays the
-    // same buffers out with sentinel + lane padding and stages
-    // substitution scores in extra scratch; all of it must come from the
-    // reused workspace. Warm each path once (the first SIMD call may grow
-    // `sub_scores`/`rev_bytes`), then demand zero.
+    // Both explicit kernel implementations — the lane path keeps its own
+    // sentinel-padded i16 rows and oriented sequence copies; all of it
+    // must come from the reused workspace. Warm each path once (the first
+    // lane call may grow those buffers), then demand zero.
     for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
         let warm = extend_xdrop_with(&a, &b, sc, 25, &mut ws, imp);
         assert_eq!(warm, warm_x, "kernel implementations must agree");
@@ -122,4 +123,24 @@ fn warmed_workspace_kernels_do_not_allocate() {
         let (n, _) = allocs_during(|| extend_xdrop_with(&a, &b, sc, 25, &mut ws, imp));
         assert_eq!(n, 0, "layout switch back to {imp:?} allocated {n}x");
     }
+
+    // The lane kernel hands two kinds of call to the scalar kernel: scores
+    // past its bounds (before it starts) and cells below its floor
+    // (partway through). Once warm, neither allocates — nor does the
+    // plain i16 path after them.
+    let (ta, tb) = common::tandem_insertion();
+    let (gs, gx) = (common::GUARD_SCORING, common::GUARD_X);
+    let wide = Scoring::new(65, -65, -65);
+    let guard = extend_xdrop_with(&ta, &tb, gs, gx, &mut ws, KernelImpl::Simd);
+    let past_bounds = extend_xdrop_with(&a, &b, wide, 25, &mut ws, KernelImpl::Simd);
+    let lanes = extend_xdrop_with(&a, &b, sc, 25, &mut ws, KernelImpl::Simd);
+    let (n, again) = allocs_during(|| extend_xdrop_with(&ta, &tb, gs, gx, &mut ws, KernelImpl::Simd));
+    assert_eq!(n, 0, "floor-guard handover allocated {n}x in steady state");
+    assert_eq!(again, guard);
+    let (n, again) = allocs_during(|| extend_xdrop_with(&a, &b, wide, 25, &mut ws, KernelImpl::Simd));
+    assert_eq!(n, 0, "out-of-bounds scoring handover allocated {n}x in steady state");
+    assert_eq!(again, past_bounds);
+    let (n, again) = allocs_during(|| extend_xdrop_with(&a, &b, sc, 25, &mut ws, KernelImpl::Simd));
+    assert_eq!(n, 0, "i16 lane path allocated {n}x after the handovers");
+    assert_eq!(again, lanes);
 }

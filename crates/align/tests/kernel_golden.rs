@@ -18,6 +18,9 @@
 use dibella_align::{
     banded_sw_with, extend_xdrop_dir_with, AlignWorkspace, Dir, KernelImpl, Scoring,
 };
+use std::sync::LazyLock;
+
+mod common;
 
 const BELLA: Scoring = Scoring::bella();
 
@@ -54,6 +57,14 @@ const POLY_A_SHORT: &[u8] = b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
 /// NEG_INF = i32::MIN/4 sentinel arithmetic headroom.
 const HUGE: Scoring = Scoring { match_score: 1 << 20, mismatch: -(1 << 20), gap: -(1 << 20) };
 
+/// 300-base homopolymer: with a wide `x` its live rows exceed 128 cells.
+static POLY_A_300: [u8; 300] = [b'A'; 300];
+/// The lane kernel's scoring bound, and one past it.
+const SCORE_64: Scoring = Scoring { match_score: 64, mismatch: -64, gap: -64 };
+const SCORE_65: Scoring = Scoring { match_score: 65, mismatch: -65, gap: -65 };
+/// An input that trips the lane kernel's floor guard mid-extension.
+static TANDEM: LazyLock<(Vec<u8>, Vec<u8>)> = LazyLock::new(common::tandem_insertion);
+
 fn xcases() -> Vec<XCase> {
     vec![
         XCase { name: "both_empty", s: b"", t: b"", scoring: BELLA, x: 5, expect: (0, 0, 0, 0) },
@@ -69,6 +80,13 @@ fn xcases() -> Vec<XCase> {
         XCase { name: "huge_scores_match_run", s: POLY_A, t: POLY_A, scoring: HUGE, x: 1 << 20, expect: (41943040, 40, 40, 198) },
         XCase { name: "huge_scores_mismatch", s: POLY_A, t: POLY_C, scoring: HUGE, x: 1 << 20, expect: (0, 0, 0, 7) },
         XCase { name: "asymmetric_lengths", s: b"ACGTACGTACGTACGTACGT", t: b"ACG", scoring: BELLA, x: 8, expect: (3, 3, 3, 39) },
+        XCase { name: "one_lane_exactly", s: b"ACGTTGCAGGTATTTA", t: b"ACGTTGCAGGTATTTA", scoring: BELLA, x: 5, expect: (16, 16, 16, 132) },
+        XCase { name: "scores_at_lane_bound", s: POLY_A, t: POLY_A_SHORT, scoring: SCORE_64, x: 4096, expect: (2304, 36, 36, 1516) },
+        XCase { name: "scores_past_lane_bound", s: POLY_A, t: POLY_A_SHORT, scoring: SCORE_65, x: 4096, expect: (2340, 36, 36, 1516) },
+        XCase { name: "x_at_lane_bound", s: POLY_A, t: POLY_C, scoring: BELLA, x: 4096, expect: (0, 0, 0, 1680) },
+        XCase { name: "x_past_lane_bound", s: POLY_A, t: POLY_C, scoring: BELLA, x: 4097, expect: (0, 0, 0, 1680) },
+        XCase { name: "homopolymer_wide_rows", s: &POLY_A_300, t: &POLY_A_300[..290], scoring: BELLA, x: 300, expect: (290, 290, 290, 78635) },
+        XCase { name: "tandem_floor_guard", s: &TANDEM.0, t: &TANDEM.1, scoring: common::GUARD_SCORING, x: common::GUARD_X, expect: (30080, 600, 700, 127064) },
     ]
 }
 

@@ -4,14 +4,16 @@
 //!
 //! Every case drives **both** implementations through ONE thread-local
 //! [`AlignWorkspace`] that is never reset, so the ~1k random inputs
-//! double as a dirty-reuse test: the SIMD kernels lay the shared row
-//! buffers out differently (sentinel slot + lane padding), and any
-//! stale-scratch leak between layouts would diverge here. Sweeps cover
-//! sequence lengths from 0 to 4k (including lengths below one SIMD
-//! lane), PacBio-like error rates, random scoring parameters, the x-drop
-//! `X`, band center/width clamped at matrix edges, and both walk
-//! directions; scores, extents, `cells` tallies and CIGARs must all be
-//! identical.
+//! double as a dirty-reuse test: the lane kernels keep sentinel-padded
+//! rows that are never cleared between calls, and any stale-scratch leak
+//! would diverge here. Sweeps cover sequence lengths from 0 to 4k
+//! (including lengths below one 16-cell lane), PacBio-like error rates,
+//! random scoring parameters, the x-drop `X`, band center/width clamped
+//! at matrix edges, and both walk directions; scores, extents, `cells`
+//! tallies and CIGARs must all be identical. Fixed cases pin the lane
+//! kernel's edges: the score and `X` bounds where it hands over to the
+//! scalar kernel, rows wider than 128 cells, live ranges ending on a lane
+//! boundary, and an input that trips its floor guard mid-extension.
 
 use dibella_align::{
     banded_sw_with, extend_seed_with, extend_xdrop_dir_with, global_alignment,
@@ -19,6 +21,8 @@ use dibella_align::{
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
+
+mod common;
 
 thread_local! {
     /// Deliberately shared, never-cleared workspace: every case of every
@@ -78,8 +82,8 @@ fn xdrop_both(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(250))]
 
-    /// Sub-lane and tiny inputs (0..16 bases — shorter than one 8-wide
-    /// SIMD lane) with random scoring and x: the all-edge regime where a
+    /// Sub-lane and tiny inputs (0..16 bases — shorter than one 16-cell
+    /// lane) with random scoring and x: the all-edge regime where a
     /// masking or padding bug would live.
     #[test]
     fn sublane_xdrop_identical(
@@ -219,4 +223,113 @@ proptest! {
         });
         prop_assert_eq!(simd, scalar);
     }
+}
+
+/// Both kernels over the shared dirty workspace in both directions: the
+/// reverse walk runs on the mirrored inputs, so all four results must
+/// agree.
+fn assert_xdrop_identical(s: &[u8], t: &[u8], sc: Scoring, x: i32) -> dibella_align::Extension {
+    let (scalar, simd) = xdrop_both(s, t, Dir::Fwd, sc, x);
+    assert_eq!(simd, scalar, "forward, x = {x}, {sc:?}, |s| = {}, |t| = {}", s.len(), t.len());
+    let s_rev: Vec<u8> = s.iter().rev().copied().collect();
+    let t_rev: Vec<u8> = t.iter().rev().copied().collect();
+    let (rev_scalar, rev_simd) = xdrop_both(&s_rev, &t_rev, Dir::Rev, sc, x);
+    assert_eq!(rev_simd, rev_scalar, "reverse, x = {x}, {sc:?}");
+    assert_eq!(rev_scalar, scalar, "mirrored walk, x = {x}, {sc:?}");
+    scalar
+}
+
+/// The lane kernel runs up to `x = 4096` and scores of magnitude 64 and
+/// hands larger ones to the scalar kernel; both sides of each bound.
+#[test]
+fn lane_bounds_and_scalar_handover_identical() {
+    let template = common::bases(700, 11);
+    let mut noisy = template.clone();
+    for (k, b) in noisy.iter_mut().enumerate() {
+        if k % 9 == 4 {
+            *b = b"ACGT"[(k / 9) % 4];
+        }
+    }
+    noisy.remove(300);
+    let homopolymer = vec![b'A'; 300];
+    for (s, t) in [(&template, &noisy), (&homopolymer, &homopolymer[..280].to_vec())] {
+        for x in [1, 63, 64, 65, 4095, 4096, 4097, 10_000] {
+            assert_xdrop_identical(s, t, Scoring::bella(), x);
+        }
+        for v in [63, 64, 65] {
+            for sc in [
+                Scoring::new(v, -1, -1),
+                Scoring::new(1, -v, -1),
+                Scoring::new(1, -1, -v),
+                Scoring::new(v, -v, -v),
+            ] {
+                for x in [1, v, 4096, 4097] {
+                    assert_xdrop_identical(s, t, sc, x);
+                }
+            }
+        }
+    }
+}
+
+/// Tandem repeats and homopolymers keep rows far wider than the typical
+/// ~25 cells: the lane kernel's rows then span many chunks.
+#[test]
+fn wide_rows_identical() {
+    let unit = b"ACGTTGCAGGTATTTACGCA";
+    let tandem: Vec<u8> = unit.iter().cycle().take(1_500).copied().collect();
+    let mut tandem_edit = tandem.clone();
+    tandem_edit.drain(400..407);
+    tandem_edit[900] = b'T';
+    let poly = vec![b'A'; 1_200];
+    let poly_mixed: Vec<u8> = (0..1_100).map(|k| if k % 97 == 0 { b'C' } else { b'A' }).collect();
+    for (s, t, x) in [
+        (&tandem, &tandem_edit, 400),
+        (&tandem_edit, &tandem, 900),
+        (&poly, &poly, 300),
+        (&poly, &poly_mixed, 600),
+    ] {
+        let e = assert_xdrop_identical(s, t, Scoring::bella(), x);
+        // Probative only if the mean row really exceeds 128 cells.
+        let rows = (e.s_ext + e.t_ext) as u64;
+        assert!(e.cells > 128 * rows, "rows too narrow: {} cells over {rows} rows", e.cells);
+    }
+}
+
+/// Every `x` from 1 to 48 over near-identical short inputs: the live
+/// range widths pass through every value up to three lanes, so some rows
+/// end exactly on a lane boundary and some span exactly one lane. Also
+/// every length pair below one lane.
+#[test]
+fn lane_boundary_and_sublane_sweep_identical() {
+    let poly = vec![b'A'; 60];
+    let mut near = poly.clone();
+    near[20] = b'C';
+    near[41] = b'G';
+    for x in 1..=48 {
+        assert_xdrop_identical(&poly, &near, Scoring::bella(), x);
+        assert_xdrop_identical(&poly[..50], &poly, Scoring::bella(), x);
+    }
+    let a = common::bases(17, 3);
+    let b = common::bases(17, 5);
+    for n in 0..=17 {
+        for m in 0..=17 {
+            for x in [1, 3, 16, 40] {
+                assert_xdrop_identical(&a[..n], &a[..m], Scoring::bella(), x);
+                assert_xdrop_identical(&a[..n], &b[..m], Scoring::new(2, -3, -2), x);
+            }
+        }
+    }
+}
+
+/// An input whose cells sink more than 8192 below the best score: the
+/// lane kernel abandons the extension partway and the scalar kernel
+/// reruns it, so the result is still the scalar one. (The crate's unit
+/// tests check that the guard, not the up-front bounds check, handed
+/// over.)
+#[test]
+fn floor_guard_handover_identical() {
+    let (s, t) = common::tandem_insertion();
+    let e = assert_xdrop_identical(&s, &t, common::GUARD_SCORING, common::GUARD_X);
+    assert!(e.cells > 100_000, "extension too short to reach the guard: {e:?}");
+    assert_xdrop_identical(&t, &s, common::GUARD_SCORING, common::GUARD_X);
 }
